@@ -74,13 +74,11 @@ const REQUIRED_FULL_ROWS: &[&str] = &[
     "kernel_unit_upper_b8",
     "kernel_scale_diag",
     "precompute_serial",
-    "precompute_parallel",
     "update_insert",
     "cold_start",
     "cold_start_precompute",
     "cold_start_replay",
     "shard_precompute",
-    "shard_precompute_serial",
     "shard_query_s1",
     "shard_query_s4",
     "failover_p50",
@@ -441,16 +439,15 @@ fn main() {
         });
     }
 
-    // -- lane kernels + wave-parallel precompute ---------------------------
+    // -- lane kernels + precompute -----------------------------------------
     // `kernel_*` rows time the multi-RHS sweeps behind every panel solve in
     // isolation, under whatever kernel `active_kernel()` dispatches to —
     // scalar by default, AVX2 under `--features simd` on a capable CPU — so
     // the trajectory shows the kernel engine's effect without serving noise.
-    // `precompute_{serial,parallel}` time the complete LDL^T factorization
-    // of the same matrix with the wave-parallel knob off and on. The matrix
-    // is many small rings with sparse chords: nnz/row like the `I - alpha*S`
-    // systems the index factorizes, with a shallow elimination tree so the
-    // waves are wide enough to engage the parallel path.
+    // `precompute_serial` times the complete LDL^T factorization of a
+    // matrix of many small rings with sparse chords: nnz/row like the
+    // `I - alpha*S` systems the index factorizes. (The row keeps its name
+    // so the committed trajectory stays comparable.)
     {
         let ring_len = 5usize;
         let rings = n / ring_len;
@@ -477,35 +474,17 @@ fn main() {
         }
         let matrix = coo.to_csr();
 
-        let serial_start = Instant::now();
-        let serial = mogul_sparse::complete_ldl_threaded(&matrix, 1).expect("serial ldl");
-        let serial_secs = serial_start.elapsed().as_secs_f64();
-        let parallel_start = Instant::now();
-        let parallel = mogul_sparse::complete_ldl_threaded(&matrix, 0).expect("parallel ldl");
-        let parallel_secs = parallel_start.elapsed().as_secs_f64();
-        assert_eq!(
-            serial.factors.d, parallel.factors.d,
-            "wave-parallel factorization diverged from serial"
-        );
+        let start = Instant::now();
+        let complete = mogul_sparse::complete_ldl(&matrix).expect("complete ldl");
         results.push(ScenarioResult {
             name: "precompute_serial",
-            latencies: vec![serial_secs],
+            latencies: vec![start.elapsed().as_secs_f64()],
             queries_per_iter: 1,
         });
-        results.push(ScenarioResult {
-            name: "precompute_parallel",
-            latencies: vec![parallel_secs],
-            queries_per_iter: 1,
-        });
-        eprintln!(
-            "  wave-parallel ldl: {:.2}x vs serial ({} cores, kernel {:?})",
-            serial_secs / parallel_secs.max(1e-12),
-            mogul_sparse::effective_threads(0),
-            mogul_sparse::kernel::active_kernel(),
-        );
 
-        let factors = &serial.factors;
+        let factors = &complete.factors;
         let kind = mogul_sparse::kernel::active_kernel();
+        eprintln!("  lane kernel: {kind:?}");
         let width = 8usize;
         let b: Vec<f64> = (0..kn * width)
             .map(|i| {
@@ -630,18 +609,14 @@ fn main() {
     }
 
     // -- sharding: partitioned precompute + scatter-gather queries ----------
-    // `shard_precompute` builds an S=4 sharded index (parallel scoped
-    // threads) over the same corpus the cold-start scenario precomputes
-    // monolithically, so the two rows are directly comparable;
-    // `shard_precompute_serial` is the same partitioned build with the
-    // parallel knob off, isolating the thread win from the partitioning
-    // win. `shard_query_s{1,4}` time the scatter-gather in-database path.
+    // `shard_precompute` builds an S=4 sharded index over the same corpus
+    // the cold-start scenario precomputes monolithically, so the two rows
+    // are directly comparable. `shard_query_s{1,4}` time the scatter-gather
+    // in-database path.
     //
-    // Gates: the partitioned build must not be slower than the monolithic
+    // Gate: the partitioned build must not be slower than the monolithic
     // one (each shard's k-NN graph and factorization are superlinear in
-    // shard size, so partitioning alone pays even on one core); the
-    // parallel-vs-serial ratio is asserted only when this container
-    // actually has more than one core.
+    // shard size, so partitioning alone pays even on one core).
     let shard_ratio;
     {
         let shards = 4usize;
@@ -651,16 +626,9 @@ fn main() {
         let config = mogul_core::ShardedConfig::with_shards(shards).builder(sharded_builder);
 
         let start = Instant::now();
-        let (sharded, report) =
-            mogul_core::ShardedIndex::build(shard_features.clone(), config.parallel(true))
-                .expect("sharded build");
-        let parallel_secs = start.elapsed().as_secs_f64();
-
-        let start = Instant::now();
-        let (_serial, _) =
-            mogul_core::ShardedIndex::build(shard_features.clone(), config.parallel(false))
-                .expect("serial sharded build");
-        let serial_secs = start.elapsed().as_secs_f64();
+        let (sharded, _) =
+            mogul_core::ShardedIndex::build(shard_features.clone(), config).expect("sharded build");
+        let sharded_secs = start.elapsed().as_secs_f64();
 
         let start = Instant::now();
         let (single, _) = mogul_core::ShardedIndex::build(
@@ -672,33 +640,16 @@ fn main() {
 
         results.push(ScenarioResult {
             name: "shard_precompute",
-            latencies: vec![parallel_secs],
-            queries_per_iter: 1,
-        });
-        results.push(ScenarioResult {
-            name: "shard_precompute_serial",
-            latencies: vec![serial_secs],
+            latencies: vec![sharded_secs],
             queries_per_iter: 1,
         });
 
-        shard_ratio = mono_precompute_secs / parallel_secs.max(1e-12);
-        let parallel_ratio = serial_secs / parallel_secs.max(1e-12);
-        let cores = mogul_sparse::effective_threads(0);
+        shard_ratio = mono_precompute_secs / sharded_secs.max(1e-12);
         eprintln!(
-            "  sharded precompute: {shard_ratio:.2}x vs monolithic, parallel {parallel_ratio:.2}x \
-             vs serial ({cores} cores; s1 build {s1_secs:.2}s)"
+            "  sharded precompute: {shard_ratio:.2}x vs monolithic ({} cores; s1 build \
+             {s1_secs:.2}s)",
+            mogul_sparse::effective_threads(0),
         );
-        assert!(
-            report.parallel || cores == 1,
-            "the parallel build must use scoped threads when cores are available"
-        );
-        if cores > 1 {
-            assert!(
-                parallel_ratio >= 1.0,
-                "gate: the parallel sharded build must not be slower than the serial one \
-                 on a {cores}-core container (got {parallel_ratio:.2}x)"
-            );
-        }
 
         // Scatter-gather query rows: identical ids against S=1 and S=4.
         let snapshot_s4 = sharded.snapshot();

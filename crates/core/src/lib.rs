@@ -29,7 +29,7 @@
 //! clean-epoch updatable state — and loads it back with zero precompute and
 //! bit-identical query answers. [`shard`] makes it **partitionable**: a
 //! [`shard::ShardedIndex`] splits the corpus into `S` cluster-aligned
-//! independent shards (parallel precompute, scatter-gather top-k with
+//! independent shards (per-shard precompute, scatter-gather top-k with
 //! lossless in-database shard skipping, per-shard rebuild debt, and a
 //! checksummed multi-file manifest).
 //!

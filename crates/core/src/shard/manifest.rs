@@ -1,5 +1,5 @@
 //! Sharded-index persistence: `S` MOG1 shard files plus a checksummed
-//! manifest, warm-started in parallel.
+//! manifest, warm-started one shard after another.
 //!
 //! A saved sharded index is a **directory**:
 //!
@@ -14,11 +14,12 @@
 //! container discipline for free (magic, version, section table, footer,
 //! FNV-1a checksums, fail-closed typed errors) — holding one section whose
 //! payload records: a manifest schema version, the sharded epoch, feature
-//! dimensionality, partitioner seed, probe count, the parallel flag, and
-//! per shard the file name, file checksum, file length, stable-id base
-//! range and pinned epoch, followed by the overflow-id history (the shard
-//! index of every post-build insert, in global-id order — locals are
-//! recomputed at load and cross-checked against each shard's id counter).
+//! dimensionality, partitioner seed, probe count, a reserved flag word
+//! (see [`RESERVED_FLAG_WORD`]), and per shard the file name, file
+//! checksum, file length, stable-id base range and pinned epoch, followed
+//! by the overflow-id history (the shard index of every post-build insert,
+//! in global-id order — locals are recomputed at load and cross-checked
+//! against each shard's id counter).
 //!
 //! Every load path fails closed with a typed [`PersistError`]: truncation
 //! anywhere, bit flips anywhere (manifest *or* shard file), hostile counts
@@ -34,7 +35,6 @@ use crate::persist::{
     find_section, io_err, load_updatable_from_bytes, parse_container, save_file, save_updatable_to,
     PersistError, SectionKind, SectionWriter,
 };
-use crate::update::UpdatableIndex;
 use mogul_sparse::persist::{checksum64, put_u64, ByteReader};
 
 /// File name of the manifest inside a sharded-index directory.
@@ -43,6 +43,15 @@ pub const MANIFEST_FILE_NAME: &str = "manifest.mog1";
 /// Schema version of the manifest payload (independent of the MOG1
 /// container version — both are checked).
 const MANIFEST_VERSION: u64 = 1;
+
+/// The word every manifest writes after the probe count. Manifests of
+/// earlier builds used it as a "warm-start shards in parallel" flag, which
+/// no longer exists: warm start is always serial. The word stays in the v1
+/// layout so old manifests keep loading and a default build's checkpoint is
+/// byte-identical to theirs. It is written as `1` (their default); on read
+/// any value other than 0 or 1 is rejected as corrupt, and the value is
+/// otherwise ignored.
+const RESERVED_FLAG_WORD: u64 = 1;
 
 /// Longest accepted shard file name, in bytes.
 const MAX_NAME_LEN: usize = 255;
@@ -87,8 +96,6 @@ pub struct ShardManifestInfo {
     pub seed: u64,
     /// Shards an out-of-sample query probes.
     pub shard_probes: usize,
-    /// Whether warm start loads the shards with scoped threads.
-    pub parallel: bool,
     /// Per-shard file entries, shard order.
     pub shards: Vec<ShardFileEntry>,
     /// Owning shard of every overflow global id, in id order.
@@ -113,7 +120,7 @@ fn encode_manifest(info: &ShardManifestInfo) -> Vec<u8> {
     put_u64(&mut out, info.dim as u64);
     put_u64(&mut out, info.seed);
     put_u64(&mut out, info.shard_probes as u64);
-    put_u64(&mut out, u64::from(info.parallel));
+    put_u64(&mut out, RESERVED_FLAG_WORD);
     put_u64(&mut out, info.shards.len() as u64);
     for entry in &info.shards {
         put_u64(&mut out, entry.file_name.len() as u64);
@@ -177,11 +184,10 @@ fn decode_manifest(payload: &[u8]) -> Result<ShardManifestInfo, PersistError> {
     }
     let seed = reader.take_u64("partitioner seed").map_err(decode_err)?;
     let shard_probes = reader.take_usize("shard probes").map_err(decode_err)?;
-    let parallel = match reader.take_u64("parallel flag").map_err(decode_err)? {
-        0 => false,
-        1 => true,
-        other => return Err(corrupt(format!("parallel flag {other} is not 0 or 1"))),
-    };
+    match reader.take_u64("reserved flag word").map_err(decode_err)? {
+        0 | 1 => {}
+        other => return Err(corrupt(format!("reserved flag word {other} is not 0 or 1"))),
+    }
     let shard_count = reader.take_usize("shard count").map_err(decode_err)?;
     if shard_count == 0 || shard_count > MAX_SHARDS {
         return Err(corrupt(format!(
@@ -273,7 +279,6 @@ fn decode_manifest(payload: &[u8]) -> Result<ShardManifestInfo, PersistError> {
         dim,
         seed,
         shard_probes,
-        parallel,
         shards,
         overflow,
     })
@@ -354,7 +359,6 @@ pub fn save_sharded(
         dim: index.snapshot().feature_dim(),
         seed: index.seed(),
         shard_probes: index.shard_probes(),
-        parallel: index.parallel(),
         shards: entries,
         overflow: router.overflow_shards(),
     };
@@ -377,11 +381,10 @@ pub fn save_sharded(
 /// The manifest is fully validated first; each shard file is then read,
 /// pinned against its recorded length and checksum (a stale or swapped
 /// file fails closed before any decoding), and decoded through the ordinary
-/// updatable-index loader — in parallel with scoped threads when the
-/// checkpoint was configured for it. Cross-file invariants close the loop:
-/// every shard must come back on the manifest's pinned epoch, with the
-/// manifest's dimensionality, and with an id counter exactly accounted for
-/// by its build range plus the recorded overflow history.
+/// updatable-index loader, one shard after another. Cross-file invariants
+/// close the loop: every shard must come back on the manifest's pinned
+/// epoch, with the manifest's dimensionality, and with an id counter exactly
+/// accounted for by its build range plus the recorded overflow history.
 pub fn load_sharded(dir: impl AsRef<Path>) -> Result<ShardedIndex, PersistError> {
     let dir = dir.as_ref();
     let manifest_path = dir.join(MANIFEST_FILE_NAME);
@@ -405,7 +408,10 @@ pub fn load_sharded(dir: impl AsRef<Path>) -> Result<ShardedIndex, PersistError>
         shard_bytes.push(data);
     }
 
-    let shards = load_shard_indexes(&shard_bytes, info.parallel && info.shards.len() > 1)?;
+    let shards = shard_bytes
+        .iter()
+        .map(|b| load_updatable_from_bytes(b))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let lens: Vec<usize> = info.shards.iter().map(|e| e.id_len).collect();
     let router = ShardRouter::from_parts(&lens, &info.overflow)?;
@@ -452,36 +458,5 @@ pub fn load_sharded(dir: impl AsRef<Path>) -> Result<ShardedIndex, PersistError>
         info.epoch,
         info.shard_probes,
         info.seed,
-        info.parallel,
     ))
-}
-
-fn load_shard_indexes(
-    shard_bytes: &[Vec<u8>],
-    parallel: bool,
-) -> Result<Vec<UpdatableIndex>, PersistError> {
-    if !parallel {
-        return shard_bytes
-            .iter()
-            .map(|b| load_updatable_from_bytes(b))
-            .collect();
-    }
-    let results: Vec<Result<UpdatableIndex, PersistError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shard_bytes
-            .iter()
-            .map(|b| scope.spawn(move || load_updatable_from_bytes(b)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(PersistError::Corrupt {
-                        what: "shard file",
-                        detail: "shard loader thread panicked".into(),
-                    })
-                })
-            })
-            .collect()
-    });
-    results.into_iter().collect()
 }

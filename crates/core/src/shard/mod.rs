@@ -1,14 +1,15 @@
 //! Sharded multi-index: partition the corpus into independent Mogul indexes
 //! and answer queries by scatter-gather.
 //!
-//! A single [`UpdatableIndex`] is bounded by one
-//! `L D Lᵀ` factorization on one core. A [`ShardedIndex`] removes both
-//! bounds: the corpus is split into `S` cluster-aligned groups (via
-//! `mogul-graph`'s k-means partitioner), each group becomes its own
-//! fully-independent index (own k-NN graph, ordering, factorization, own
-//! rebuild debt), precompute runs shard-parallel with scoped threads, and a
-//! query fans out to the shards whose data can contribute, merging candidates
-//! through the shared bounded top-k collector.
+//! A single [`UpdatableIndex`] is bounded by one `L D Lᵀ` factorization.
+//! A [`ShardedIndex`] removes that bound: the corpus is split into `S`
+//! cluster-aligned groups (via `mogul-graph`'s k-means partitioner), each
+//! group becomes its own fully-independent index (own k-NN graph, ordering,
+//! factorization, own rebuild debt), and a query fans out to the shards
+//! whose data can contribute, merging candidates through the shared bounded
+//! top-k collector. Shards are built (and warm-started) one after another;
+//! inside each build, exact k-NN — nearly all of precompute — fans out over
+//! every core, so thread pools never nest.
 //!
 //! ## Semantics: the union graph is block-diagonal
 //!
@@ -72,10 +73,6 @@ pub struct ShardedConfig {
     /// searches the nearest cluster only; raising it trades latency for
     /// recall near shard boundaries. Clamped to the shard count.
     pub shard_probes: usize,
-    /// Build (and warm-start) the shards with scoped threads. The result is
-    /// identical either way — shards are fully independent — so this is a
-    /// pure wall-clock knob.
-    pub parallel: bool,
 }
 
 impl Default for ShardedConfig {
@@ -85,7 +82,6 @@ impl Default for ShardedConfig {
             builder: IndexBuilder::new(),
             seed: 42,
             shard_probes: 1,
-            parallel: true,
         }
     }
 }
@@ -114,12 +110,6 @@ impl ShardedConfig {
     /// Set the number of shards an out-of-sample query probes.
     pub fn shard_probes(mut self, probes: usize) -> Self {
         self.shard_probes = probes;
-        self
-    }
-
-    /// Enable or disable shard-parallel precompute.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -276,8 +266,6 @@ pub struct ShardedBuildReport {
     pub groups: Vec<Vec<usize>>,
     /// Global stable id assigned to each input position.
     pub id_of_position: Vec<usize>,
-    /// Whether the shards were factorized with scoped threads.
-    pub parallel: bool,
 }
 
 /// What one [`ShardedIndex::apply`] call did.
@@ -304,14 +292,12 @@ pub struct ShardedIndex {
     epoch: u64,
     shard_probes: usize,
     seed: u64,
-    parallel: bool,
     snapshot: Arc<ShardedSnapshot>,
 }
 
 impl ShardedIndex {
     /// Partition `features` into `config.shards` cluster-aligned groups and
-    /// build one index per group — with scoped threads when
-    /// `config.parallel` and more than one shard.
+    /// build one index per group, one group after another.
     ///
     /// Requires at least `2 · shards` items so every shard can build a k-NN
     /// graph and survive removals.
@@ -329,13 +315,13 @@ impl ShardedIndex {
             },
         )?;
 
-        let mut per_shard_features: Vec<Vec<Vec<f64>>> = groups
+        let shards = groups
             .iter()
-            .map(|group| group.iter().map(|&pos| features[pos].clone()).collect())
-            .collect();
-
-        let parallel = config.parallel && config.shards > 1;
-        let shards = build_shards(&mut per_shard_features, config.builder, parallel)?;
+            .map(|group| {
+                let features = group.iter().map(|&pos| features[pos].clone()).collect();
+                config.builder.build(features)
+            })
+            .collect::<Result<Vec<_>>>()?;
 
         let lens: Vec<usize> = groups.iter().map(Vec::len).collect();
         let router = ShardRouter::from_bases(&lens);
@@ -350,7 +336,6 @@ impl ShardedIndex {
         let report = ShardedBuildReport {
             groups,
             id_of_position,
-            parallel,
         };
         Ok((
             ShardedIndex::from_parts(
@@ -359,7 +344,6 @@ impl ShardedIndex {
                 0,
                 config.shard_probes.min(config.shards),
                 config.seed,
-                config.parallel,
             ),
             report,
         ))
@@ -371,7 +355,6 @@ impl ShardedIndex {
         epoch: u64,
         shard_probes: usize,
         seed: u64,
-        parallel: bool,
     ) -> Self {
         let snapshot = Arc::new(ShardedSnapshot::assemble(
             shards.iter().map(UpdatableIndex::snapshot).collect(),
@@ -385,7 +368,6 @@ impl ShardedIndex {
             epoch,
             shard_probes,
             seed,
-            parallel,
             snapshot,
         }
     }
@@ -451,11 +433,6 @@ impl ShardedIndex {
     /// Partitioner seed the index was built with.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Whether shard-parallel precompute / warm start is enabled.
-    pub fn parallel(&self) -> bool {
-        self.parallel
     }
 
     /// Read access to one shard's index (tests, persistence, inspection).
@@ -645,38 +622,4 @@ pub(crate) fn route_by_centroid(
                 .into(),
         )
     })
-}
-
-/// Build one index per feature group, optionally with scoped threads.
-fn build_shards(
-    per_shard_features: &mut [Vec<Vec<f64>>],
-    builder: IndexBuilder,
-    parallel: bool,
-) -> Result<Vec<UpdatableIndex>> {
-    if !parallel {
-        return per_shard_features
-            .iter_mut()
-            .map(|f| builder.build(std::mem::take(f)))
-            .collect();
-    }
-    let results: Vec<Result<UpdatableIndex>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = per_shard_features
-            .iter_mut()
-            .map(|f| {
-                let features = std::mem::take(f);
-                scope.spawn(move || builder.build(features))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(CoreError::InvalidInput(
-                        "shard build thread panicked".into(),
-                    ))
-                })
-            })
-            .collect()
-    });
-    results.into_iter().collect()
 }

@@ -118,33 +118,68 @@ fn round_trip_answers_bit_identically() {
 }
 
 #[test]
-fn parallel_and_serial_warm_starts_agree() {
-    let config = ShardedConfig::with_shards(2)
-        .builder(IndexBuilder::new().knn_k(3))
-        .parallel(false);
-    let (serial_index, _) = ShardedIndex::build(features(), config).unwrap();
-    let dir_serial = temp_dir("warm_serial");
-    save_sharded(&serial_index, &dir_serial).unwrap();
+fn reserved_flag_words_zero_and_one_warm_start_identically() {
+    // Earlier builds wrote a "parallel warm start" flag after the probe
+    // count; that word is now reserved and ignored on read. A manifest
+    // carrying 0 and one carrying 1 must load to bit-identical answers.
+    let dir_one = saved_fixture("flag_one");
+    let info = inspect_manifest_bytes(&manifest_bytes(&dir_one)).unwrap();
+    let dir_zero = temp_dir("flag_zero");
+    std::fs::create_dir_all(&dir_zero).unwrap();
+    for entry in &info.shards {
+        std::fs::copy(
+            dir_one.join(&entry.file_name),
+            dir_zero.join(&entry.file_name),
+        )
+        .unwrap();
+    }
+    let mut spec = Spec {
+        version: 1,
+        epoch: info.epoch,
+        dim: info.dim as u64,
+        seed: info.seed,
+        probes: info.shard_probes as u64,
+        flag_word: 1,
+        shards: info
+            .shards
+            .iter()
+            .map(|e| {
+                let name = e.file_name.as_bytes().to_vec();
+                let len = name.len() as u64;
+                let (base, id_len) = (e.id_base as u64, e.id_len as u64);
+                (name, len, e.checksum, e.file_len, base, id_len, e.epoch)
+            })
+            .collect(),
+        overflow: info.overflow.iter().map(|&s| s as u64).collect(),
+        declared_overflow: None,
+        trailing: Vec::new(),
+    };
+    // The spec re-encodes the saved manifest byte for byte, so the only
+    // difference between the two directories is the flag word.
+    assert_eq!(encode_spec(&spec), manifest_bytes(&dir_one));
+    spec.flag_word = 0;
+    std::fs::write(dir_zero.join(MANIFEST_FILE_NAME), encode_spec(&spec)).unwrap();
 
-    let (parallel_index, _) = ShardedIndex::build(features(), config.parallel(true)).unwrap();
-    let dir_parallel = temp_dir("warm_parallel");
-    save_sharded(&parallel_index, &dir_parallel).unwrap();
-
-    // The parallel flag is a pure wall-clock knob: both warm starts answer
-    // bit-identically.
-    let a = load_sharded(&dir_serial).unwrap();
-    let b = load_sharded(&dir_parallel).unwrap();
-    assert!(!a.parallel() && b.parallel());
-    let (sa, sb) = (a.snapshot(), b.snapshot());
+    let one = load_sharded(&dir_one).unwrap();
+    let zero = load_sharded(&dir_zero).unwrap();
+    let (sa, sb) = (one.snapshot(), zero.snapshot());
     assert_eq!(sa.item_ids(), sb.item_ids());
     let mut ws = ShardedWorkspace::new();
     for id in sa.item_ids() {
         let x = sa.query_by_id_in(&mut ws, id, 4).unwrap();
         let y = sb.query_by_id_in(&mut ws, id, 4).unwrap();
-        assert_eq!(x, y, "id {id}");
+        assert_eq!(x.nodes(), y.nodes(), "id {id}");
+        for (i, j) in x.items().iter().zip(y.items()) {
+            assert_eq!(i.score.to_bits(), j.score.to_bits(), "id {id}");
+        }
     }
-    std::fs::remove_dir_all(&dir_serial).unwrap();
-    std::fs::remove_dir_all(&dir_parallel).unwrap();
+    // Re-saving writes the flag word as 1 again.
+    let dir_resaved = temp_dir("flag_resaved");
+    save_sharded(&zero, &dir_resaved).unwrap();
+    assert_eq!(manifest_bytes(&dir_resaved), manifest_bytes(&dir_one));
+    for dir in [dir_one, dir_zero, dir_resaved] {
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
 
 #[test]
@@ -250,7 +285,8 @@ struct Spec {
     dim: u64,
     seed: u64,
     probes: u64,
-    parallel: u64,
+    /// The reserved flag word (0 or 1; earlier builds' parallel flag).
+    flag_word: u64,
     /// `(name bytes, declared name len, checksum, file len, id base, id len, epoch)`
     shards: Vec<SpecShard>,
     overflow: Vec<u64>,
@@ -265,7 +301,7 @@ fn valid_spec() -> Spec {
         dim: 3,
         seed: 42,
         probes: 1,
-        parallel: 1,
+        flag_word: 1,
         shards: vec![
             (b"shard-0000.mog1".to_vec(), 15, 0xabcd, 900, 0, 10, 2),
             (b"shard-0001.mog1".to_vec(), 15, 0x1234, 900, 10, 10, 2),
@@ -283,7 +319,7 @@ fn encode_spec(spec: &Spec) -> Vec<u8> {
     put_u64(&mut payload, spec.dim);
     put_u64(&mut payload, spec.seed);
     put_u64(&mut payload, spec.probes);
-    put_u64(&mut payload, spec.parallel);
+    put_u64(&mut payload, spec.flag_word);
     put_u64(&mut payload, spec.shards.len() as u64);
     for (name, name_len, checksum, file_len, base, id_len, epoch) in &spec.shards {
         put_u64(&mut payload, *name_len);
@@ -330,7 +366,10 @@ fn the_crafted_baseline_spec_is_accepted() {
     assert_eq!(info.shards.len(), 2);
     assert_eq!(info.overflow, vec![0, 1]);
     assert_eq!(info.epoch, 3);
-    assert!(info.parallel);
+    // Both values of the reserved flag word are accepted.
+    let mut spec = valid_spec();
+    spec.flag_word = 0;
+    assert_eq!(inspect_manifest_bytes(&encode_spec(&spec)).unwrap(), info);
 }
 
 #[test]
@@ -341,7 +380,7 @@ fn hostile_payload_fields_are_rejected() {
     expect_rejected(|s| s.dim = 1 << 21, "oversized dimension");
     expect_rejected(|s| s.probes = 0, "zero probe count");
     expect_rejected(|s| s.probes = 3, "probe count above shard count");
-    expect_rejected(|s| s.parallel = 2, "non-boolean parallel flag");
+    expect_rejected(|s| s.flag_word = 2, "reserved flag word other than 0 or 1");
     expect_rejected(|s| s.shards.clear(), "zero shards");
     expect_rejected(
         |s| {

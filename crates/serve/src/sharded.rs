@@ -167,9 +167,8 @@ impl ShardedServer {
 
     /// Warm-start a server from a sharded checkpoint directory written by
     /// [`mogul_core::shard::save_sharded`] — every shard is reconstructed
-    /// with no precompute (in parallel, when the manifest says the index
-    /// was built parallel) and answers are bit-identical to a server over
-    /// the index that was saved.
+    /// with no precompute, one shard after another, and answers are
+    /// bit-identical to a server over the index that was saved.
     pub fn warm_start(dir: impl AsRef<Path>) -> std::result::Result<Self, PersistError> {
         Ok(ShardedServer::from_snapshot(
             mogul_core::load_sharded(dir)?.snapshot(),

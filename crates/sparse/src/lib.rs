@@ -21,8 +21,7 @@
 //!   reference implementation and a runtime-dispatched AVX2 implementation
 //!   (behind the `simd` cargo feature), bit-identical by construction.
 //! * [`parallel`] — the audited `available_parallelism` policy
-//!   ([`effective_threads`]) and the wave-scheduling machinery behind the
-//!   scoped-thread parallel factorizations.
+//!   ([`effective_threads`]) every thread-count knob resolves through.
 //! * [`ichol`] — Incomplete Cholesky `L D Lᵀ` factorization restricted to the
 //!   sparsity pattern of `W` (Equations (6) and (7)).
 //! * [`ldl`] — complete ("Modified Cholesky" in the paper's terminology)
@@ -66,9 +65,9 @@ pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::{Result, SparseError};
-pub use ichol::{incomplete_ldl, incomplete_ldl_threaded, LdlFactors};
+pub use ichol::{incomplete_ldl, LdlFactors};
 pub use kernel::{active_kernel, set_kernel_override, simd_available, KernelKind};
-pub use ldl::{complete_ldl, complete_ldl_threaded, CompleteLdl};
+pub use ldl::{complete_ldl, CompleteLdl};
 pub use parallel::effective_threads;
 pub use permutation::Permutation;
 pub use triangular::{MultiSolveWorkspace, SolveWorkspace, MAX_PANEL_WIDTH};

@@ -1,4 +1,4 @@
-//! SIMD-vs-scalar bit-identity and parallel-vs-serial determinism.
+//! SIMD-vs-scalar bit-identity, plus the factorizations these kernels run on.
 //!
 //! The kernel engine's exactness contract (`mogul_sparse::kernel`) promises
 //! that the AVX2 path performs per lane exactly the IEEE-754 operations of
@@ -8,10 +8,11 @@
 //! kernel and the assertions hold trivially; under the feature matrix the
 //! same battery pins the real AVX2 instructions.
 //!
-//! The second half pins the wave-parallel factorizations: a worker count
-//! must never change a bit of the factors (or the error reported on
-//! breakdown), because the waves only ever parallelize provably disjoint
-//! rows.
+//! The second half checks the serial `L D Lᵀ` row sweeps on a matrix of the
+//! shape the index factorizes (many small clusters, a few chords) against
+//! independent oracles: the complete factors solve the system, the
+//! incomplete factors reproduce `W` on its own pattern, and an exactly
+//! singular block reports its breakdown at the right row.
 
 use mogul_sparse::kernel::KernelKind;
 use mogul_sparse::triangular::{
@@ -20,8 +21,7 @@ use mogul_sparse::triangular::{
     solve_upper_multi_into_with,
 };
 use mogul_sparse::{
-    complete_ldl_threaded, incomplete_ldl_threaded, CooMatrix, CsrMatrix, MultiSolveWorkspace,
-    SparseError,
+    complete_ldl, incomplete_ldl, CooMatrix, CsrMatrix, MultiSolveWorkspace, SparseError,
 };
 use proptest::prelude::*;
 
@@ -74,8 +74,8 @@ proptest! {
     #[test]
     fn simd_solves_are_bit_identical_to_scalar((n, edges) in edge_strategy(20), w in 0.05f64..0.45) {
         let matrix = spd_matrix(n, &edges, w);
-        let complete = complete_ldl_threaded(&matrix, 1).unwrap().factors;
-        let incomplete = incomplete_ldl_threaded(&matrix, 1).unwrap();
+        let complete = complete_ldl(&matrix).unwrap().factors;
+        let incomplete = incomplete_ldl(&matrix).unwrap();
         let mut ws = MultiSolveWorkspace::new();
         for factors in [&complete, &incomplete] {
             let (l, u, d) = (&factors.l, &factors.u, &factors.d);
@@ -130,12 +130,14 @@ proptest! {
     }
 }
 
-/// A graph large and wide enough to actually engage the wave-parallel
-/// numeric path (`n ≥ PAR_MIN_DIM = 1024`, mean wave width ≥ 8): many small
-/// rings — shallow elimination trees, hundreds of rows per wave — sprinkled
-/// with a few cross-ring edges.
-fn wide_wave_matrix(rings: usize, ring_len: usize, weight: f64) -> CsrMatrix {
-    let n = rings * ring_len;
+/// Many small rings (shallow elimination trees, so complete factorization
+/// fills in only inside each ring) sprinkled with a few cross-ring edges:
+/// the block structure of the `I − α S` matrices the index factorizes.
+fn ring_matrix(rings: usize, ring_len: usize, weight: f64) -> CsrMatrix {
+    spd_matrix(rings * ring_len, &ring_edges(rings, ring_len), weight)
+}
+
+fn ring_edges(rings: usize, ring_len: usize) -> Vec<(usize, usize)> {
     let mut edges = Vec::new();
     for r in 0..rings {
         let base = r * ring_len;
@@ -146,45 +148,74 @@ fn wide_wave_matrix(rings: usize, ring_len: usize, weight: f64) -> CsrMatrix {
             edges.push((base, base + ring_len));
         }
     }
-    spd_matrix(n, &edges, weight)
+    edges
 }
 
 #[test]
-fn parallel_factorizations_match_serial_bit_for_bit() {
-    // 1280 nodes ≥ PAR_MIN_DIM; 256 rings give wave widths in the hundreds.
-    let matrix = wide_wave_matrix(256, 5, 0.2);
-    let serial_c = complete_ldl_threaded(&matrix, 1).unwrap();
-    let serial_i = incomplete_ldl_threaded(&matrix, 1).unwrap();
-    for threads in [2usize, 4, 8] {
-        let par_c = complete_ldl_threaded(&matrix, threads).unwrap();
-        assert_eq!(
-            serial_c.factors.d, par_c.factors.d,
-            "complete d, {threads} threads"
+fn ring_matrix_factorizations_match_their_oracles() {
+    let matrix = ring_matrix(256, 5, 0.2);
+    let n = matrix.nrows();
+
+    // Complete factors solve the system: the residual of `W x = b` is at
+    // rounding level.
+    let complete = complete_ldl(&matrix).unwrap();
+    assert!(complete.fill_in() > 0, "rings must fill in");
+    let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+    let x = complete.solve(&b).unwrap();
+    let wx = matrix.matvec(&x).unwrap();
+    let residual = wx
+        .iter()
+        .zip(&b)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0f64, f64::max);
+    assert!(residual < 1e-12, "complete residual {residual}");
+
+    // Incomplete factors keep the pattern of W's lower triangle and, as
+    // IC(0) must, reproduce W exactly (up to rounding) on that pattern. A
+    // chord across every ring adds triangles, so the off-diagonal updates
+    // `Σ_k L_ik L_jk D_k` are not all empty.
+    let mut edges = ring_edges(256, 5);
+    edges.extend((0..256).map(|r| (5 * r, 5 * r + 2)));
+    let chorded = spd_matrix(n, &edges, 0.2);
+    for matrix in [&matrix, &chorded] {
+        incomplete_matches_w_on_its_pattern(matrix);
+    }
+}
+
+fn incomplete_matches_w_on_its_pattern(matrix: &CsrMatrix) {
+    let incomplete = incomplete_ldl(matrix).unwrap();
+    assert_eq!(incomplete.boosted_pivots, 0);
+    let (l, d) = (&incomplete.l, &incomplete.d);
+    assert_eq!(l.nnz(), matrix.lower_triangle(true).nnz());
+    for (i, j, w_ij) in matrix.lower_triangle(true).iter() {
+        // (L D Lᵀ)_ij = Σ_k L_ik D_k L_jk over the shared pattern of rows i, j.
+        let (ri_cols, ri_vals) = l.row(i);
+        let (rj_cols, rj_vals) = l.row(j);
+        let (mut a, mut c, mut product) = (0usize, 0usize, 0.0f64);
+        while a < ri_cols.len() && c < rj_cols.len() {
+            match ri_cols[a].cmp(&rj_cols[c]) {
+                std::cmp::Ordering::Equal => {
+                    product += ri_vals[a] * d[ri_cols[a]] * rj_vals[c];
+                    a += 1;
+                    c += 1;
+                }
+                std::cmp::Ordering::Less => a += 1,
+                std::cmp::Ordering::Greater => c += 1,
+            }
+        }
+        assert!(
+            (product - w_ij).abs() < 1e-12,
+            "(L D Lᵀ)[{i}][{j}] = {product}, W = {w_ij}"
         );
-        assert_eq!(
-            serial_c.factors.l.to_dense().data(),
-            par_c.factors.l.to_dense().data(),
-            "complete l, {threads} threads"
-        );
-        assert_eq!(serial_c.factor_lower_nnz, par_c.factor_lower_nnz);
-        let par_i = incomplete_ldl_threaded(&matrix, threads).unwrap();
-        assert_eq!(serial_i.d, par_i.d, "incomplete d, {threads} threads");
-        assert_eq!(
-            serial_i.l.to_dense().data(),
-            par_i.l.to_dense().data(),
-            "incomplete l, {threads} threads"
-        );
-        assert_eq!(serial_i.boosted_pivots, par_i.boosted_pivots);
     }
 }
 
 #[test]
-fn parallel_breakdown_reports_the_serial_error() {
-    // A big well-conditioned wave-parallel matrix plus one exactly singular
-    // 2×2 block `[[1, -1], [-1, 1]]` as its own component: eliminating the
-    // second block node produces pivot `1 - 1 = 0` exactly, in serial and in
-    // every wave schedule.
-    let base = wide_wave_matrix(256, 5, 0.2);
+fn complete_breakdown_reports_the_singular_row() {
+    // The ring matrix plus one exactly singular 2×2 block `[[1, -1], [-1, 1]]`
+    // as its own component: eliminating the second block node produces
+    // pivot `1 - 1 = 0` exactly, and the error names that row.
+    let base = ring_matrix(256, 5, 0.2);
     let n = base.nrows() + 2;
     let (a, b) = (n - 2, n - 1);
     let mut coo = CooMatrix::new(n, n);
@@ -195,19 +226,10 @@ fn parallel_breakdown_reports_the_serial_error() {
     coo.push(b, b, 1.0).unwrap();
     coo.push_symmetric(a, b, -1.0).unwrap();
     let matrix = coo.to_csr();
-    let serial = complete_ldl_threaded(&matrix, 1).unwrap_err();
-    let SparseError::Breakdown { index, .. } = serial else {
-        panic!("expected Breakdown, got {serial:?}");
+    let error = complete_ldl(&matrix).unwrap_err();
+    let SparseError::Breakdown { index, value } = error else {
+        panic!("expected Breakdown, got {error:?}");
     };
     assert_eq!(index, b);
-    for threads in [2usize, 8] {
-        let parallel = complete_ldl_threaded(&matrix, threads).unwrap_err();
-        let SparseError::Breakdown {
-            index: par_index, ..
-        } = parallel
-        else {
-            panic!("expected Breakdown, got {parallel:?}");
-        };
-        assert_eq!(index, par_index, "{threads} threads");
-    }
+    assert_eq!(value, 0.0);
 }

@@ -26,7 +26,7 @@
 //!   `docs/PERSISTENCE.md`) read-only and prints the segment table.
 //! * `shard_demo` runs the sharding cycle (see `docs/SHARDING.md`): build a
 //!   cluster-aligned S-shard index, apply routed updates, checkpoint it as
-//!   a manifested shard directory, warm-start it back in parallel, and
+//!   a manifested shard directory, warm-start it back, and
 //!   verify the reloaded index answers bit-identically — including the
 //!   shard-skip statistics of the scatter-gather path. This is what the CI
 //!   `shard-smoke` job runs.
@@ -292,9 +292,8 @@ fn shard_demo(dir: &Path, items: usize, shards: usize) {
     let (index, report) = ShardedIndex::build(features.clone(), config).expect("sharded build");
     let sizes: Vec<usize> = report.groups.iter().map(Vec::len).collect();
     println!(
-        "partitioned precompute in {:.2} s (parallel = {}), shard sizes {:?}",
+        "partitioned precompute in {:.2} s, shard sizes {:?}",
         start.elapsed().as_secs_f64(),
-        report.parallel,
         sizes
     );
 
@@ -337,7 +336,7 @@ fn shard_demo(dir: &Path, items: usize, shards: usize) {
         );
     }
 
-    println!("\n== parallel warm start ==");
+    println!("\n== warm start ==");
     let start = Instant::now();
     let loaded = load_sharded(dir).expect("load sharded");
     println!(
