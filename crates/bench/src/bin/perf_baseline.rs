@@ -20,14 +20,16 @@
 //! ```
 //!
 //! `p50_us`/`p95_us` are per-*iteration* latencies — one query for the
-//! scalar scenarios, one whole batch for the `*_batch*` / `serve_*`
-//! scenarios — while `qps` is always queries (not batches) per second, so
-//! the scalar and batched rows of one hot path are directly comparable.
+//! `search_scalar` / `oos_scalar` (one query at a time) scenarios, one whole
+//! batch for the `*_batch*` / `serve_*` scenarios — while `qps` is always
+//! queries (not batches) per second, so the one-by-one and batched rows of
+//! one hot path are directly comparable.
 //!
 //! Asserted invariants (the acceptance gate of the batched query engine):
 //!
 //! * full run — the panel serving path is at least **2×** the scalar
-//!   serving path in single-core queries/sec at batch size 32;
+//!   serving path (one `QueryServer::query` call per request) in
+//!   single-core queries/sec at batch size 32;
 //! * smoke run — batched throughput is at least scalar throughput, and the
 //!   emitted JSON round-trips through a validator.
 //!
@@ -48,9 +50,7 @@ use mogul_data::web::{web_like, WebLikeConfig};
 use mogul_graph::knn::{knn_graph, KnnConfig};
 use mogul_serve::net::NetServer;
 use mogul_serve::resilience::{ReplicaSet, ReplicaSetConfig};
-use mogul_serve::{
-    Dispatch, QueryRequest, QueryServer, ServeError, ServeOptions, ShardFault, ShardedWriter,
-};
+use mogul_serve::{QueryRequest, QueryServer, ServeError, ServeOptions, ShardFault, ShardedWriter};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -311,7 +311,7 @@ fn main() {
 
     let mut results: Vec<ScenarioResult> = Vec::new();
 
-    // -- core search: scalar vs panel -------------------------------------
+    // -- core search: single queries vs panels -----------------------------
     let mut search_ws = SearchWorkspace::new();
     let mut batch_ws = BatchWorkspace::new();
     for &q in &queries[..BATCH] {
@@ -353,7 +353,7 @@ fn main() {
         });
     }
 
-    // -- out-of-sample: scalar vs panel ------------------------------------
+    // -- out-of-sample: single queries vs panels ----------------------------
     let mut oos_ws = OosWorkspace::new();
     {
         let mut latencies = Vec::new();
@@ -387,13 +387,14 @@ fn main() {
         });
     }
 
-    // -- serving: scalar dispatch vs panel dispatch, one worker ------------
+    // -- serving: per-request queries vs panel batches, one worker --------
     // The asserted workload is a batch of 32 in-database requests (the
     // traffic shape the panel engine targets: one kind, one k, full-width
     // panels); a mixed half-in-database / half-out-of-sample batch is
     // measured alongside — its out-of-sample halves spend much of their
     // time in the per-query phase-1 feature scan, which batching cannot
-    // share, so its speedup is structurally lower.
+    // share, so its speedup is structurally lower. The `*scalar*` rows
+    // answer the same requests one `QueryServer::query` call at a time.
     let indb_batch: Vec<QueryRequest> = queries[..BATCH]
         .iter()
         .map(|&q| QueryRequest::in_database(q, 10))
@@ -405,31 +406,27 @@ fn main() {
     for feature in probes.iter().take(BATCH / 2) {
         mixed_batch.push(QueryRequest::out_of_sample(feature.clone(), 10));
     }
-    let scalar_server = QueryServer::new(
-        Arc::clone(&oos),
-        ServeOptions::builder()
-            .workers(1)
-            .dispatch(Dispatch::Scalar)
-            .build()
-            .expect("valid options"),
-    );
-    let panel_server = QueryServer::new(Arc::clone(&oos), ServeOptions::with_workers(1));
-    for server in [&scalar_server, &panel_server] {
-        for batch in [&indb_batch, &mixed_batch] {
-            for answer in server.serve_batch(batch) {
-                answer.expect("warm serve");
-            }
+    let server = QueryServer::new(Arc::clone(&oos), ServeOptions::with_workers(1));
+    for batch in [&indb_batch, &mixed_batch] {
+        for answer in server.serve_batch(batch) {
+            answer.expect("warm serve");
         }
     }
-    for (name, server, batch) in [
-        ("serve_scalar_b32", &scalar_server, &indb_batch),
-        ("serve_panel_b32", &panel_server, &indb_batch),
-        ("serve_mixed_scalar_b32", &scalar_server, &mixed_batch),
-        ("serve_mixed_panel_b32", &panel_server, &mixed_batch),
+    for (name, per_request, batch) in [
+        ("serve_scalar_b32", true, &indb_batch),
+        ("serve_panel_b32", false, &indb_batch),
+        ("serve_mixed_scalar_b32", true, &mixed_batch),
+        ("serve_mixed_panel_b32", false, &mixed_batch),
     ] {
         let (latencies, per_iter) = time_rounds(rounds * 8, batch.len(), || {
-            for answer in server.serve_batch(batch) {
-                answer.expect("serve");
+            if per_request {
+                for request in batch.iter() {
+                    server.query(request).expect("serve");
+                }
+            } else {
+                for answer in server.serve_batch(batch) {
+                    answer.expect("serve");
+                }
             }
         });
         results.push(ScenarioResult {

@@ -1,13 +1,15 @@
-//! Batched multi-RHS execution of Algorithm 2 (panel search).
+//! The Algorithm-2 engine: multi-RHS (panel) execution of the search.
 //!
-//! A scalar search traverses the factor `L`'s row pointers and indices once
-//! per query; under batched traffic that means a batch of `B` queries
-//! streams the index structure `B` times. The batched engine packs up to
+//! This is the only implementation of Algorithm 2. It packs up to
 //! [`PANEL_WIDTH`] query vectors into an `n × B` panel stored with the `B`
 //! lane values of each node adjacent (`panel[node * width + lane]`), so one
 //! traversal of the CSR structure applies every nonzero to all lanes through
 //! a short, contiguous, auto-vectorizable inner loop — the same blocking the
-//! `mogul-sparse` `*_multi_into` kernels use for unrestricted solves.
+//! `mogul-sparse` `*_multi_into` kernels use for unrestricted solves. A
+//! single query ([`MogulIndex::search`] and friends) is a one-lane panel;
+//! at width 1 the sweeps run the plain scalar recurrence
+//! (`forward_lane` / `back_lane`), because one lane has nothing to
+//! vectorize.
 //!
 //! Algorithm 2's semantics are preserved **per column**:
 //!
@@ -15,24 +17,23 @@
 //!   query clusters plus the border: clusters shared by many lanes (and the
 //!   border, which every lane shares) are swept once at full width, while
 //!   clusters owned by one or two lanes run as tight per-lane recurrences —
-//!   either way each lane's arithmetic is bit-identical to its scalar
-//!   counterpart;
+//!   either way each lane performs exactly the arithmetic of a one-lane
+//!   panel;
 //! * every lane keeps its own top-k collector and threshold `θ`, and the
 //!   upper-bounding estimation is evaluated per lane
 //!   ([`ClusterBounds::cluster_estimates_panel`](crate::mogul::ClusterBounds::cluster_estimates_panel));
 //! * a column whose bound falls below its own threshold **prunes out** of
 //!   the panel for that cluster: the back substitution runs over the masked
 //!   set of still-active lanes, shrinking the effective width as the search
-//!   proceeds. A fully pruned cluster is skipped outright, exactly as in the
-//!   scalar search.
+//!   proceeds. A fully pruned cluster is skipped outright.
 //!
 //! Because every lane performs the same floating-point operations in the
-//! same order as the scalar path, batched results (scores, ranking, pruning
-//! decisions and work counters) are bit-identical to running the scalar
-//! search per query — the equivalence suite in
+//! same order whatever the panel width, results (scores, ranking, pruning
+//! decisions and work counters) do not depend on how queries are batched.
 //! `crates/core/tests/batch_equivalence.rs` pins this with exact `==`
-//! comparisons. See `docs/PERFORMANCE.md` for the layout diagram and tuning
-//! notes.
+//! comparisons of every batch size, 1 included, against an independent
+//! scalar reference implementation of Algorithm 2 kept in the test code.
+//! See `docs/PERFORMANCE.md` for the layout diagram and tuning notes.
 
 use crate::mogul::index::MogulIndex;
 use crate::mogul::search::{HeapEntry, SearchMode, SearchStats, TopKCollector};
@@ -62,15 +63,18 @@ pub const PANEL_WIDTH: usize = 8;
 /// scalar recurrences win.
 const MASKED_LANE_CUTOFF: usize = 2;
 
-/// Reusable scratch for the batched (panel) query paths.
+/// Reusable scratch of the Algorithm-2 engine: the one workspace behind
+/// single queries ([`SearchWorkspace`](crate::SearchWorkspace)), panels,
+/// out-of-sample queries ([`OosWorkspace`](crate::OosWorkspace)) and the
+/// unrestricted multi-RHS solves.
 ///
-/// The panel counterpart of [`SearchWorkspace`](crate::SearchWorkspace):
-/// three `n × B` panels (query, forward result, scores), the staged lane
-/// descriptors, one top-k collector buffer per lane, and the phase-1 /
-/// full-solve scratch of the batched out-of-sample and corrected-snapshot
-/// paths. Like every workspace in this crate it is an inert buffer bag — it
-/// carries no index state, any workspace works with any index, and results
-/// are bit-identical to fresh allocation.
+/// It holds three `n × B` panels (query, forward result, scores), the staged
+/// lane descriptors, one top-k collector buffer per lane, the phase-1 scratch
+/// of out-of-sample queries and the full-solve scratch. Like every workspace
+/// in this crate it is an inert buffer bag — it carries no index state, any
+/// workspace works with any index, and results are bit-identical to fresh
+/// allocation.
+///
 /// # Panel zeroing invariant
 ///
 /// The three panels are kept **all-zero between searches**: a panel search
@@ -79,8 +83,6 @@ const MASKED_LANE_CUTOFF: usize = 2;
 /// whole `n × B` buffers up front. On heavily pruned workloads a query
 /// touches a few dozen rows of a many-thousand-row index, so this turns the
 /// dominant per-panel cost — three `O(n · B)` memsets — into `O(visited)`.
-/// The scalar path cannot play this trick (its workspace makes no such
-/// invariant), which is a large part of the panel path's single-core win.
 #[derive(Debug, Clone, Default)]
 pub struct BatchWorkspace {
     /// Densified query panel `Q'` (node-major, stride = staged width).
@@ -108,8 +110,8 @@ pub struct BatchWorkspace {
     pub(crate) heap_bufs: Vec<Vec<HeapEntry>>,
     /// Active-lane mask of the cluster currently being scored.
     pub(crate) active: Vec<usize>,
-    /// Phase-1 scratch of the batched out-of-sample path.
-    pub(crate) oos: crate::out_of_sample::OosWorkspace,
+    /// Phase-1 scratch of out-of-sample queries.
+    pub(crate) neighbors: crate::out_of_sample::NeighborScratch,
     /// Panel scratch of the unrestricted multi-RHS `L D Lᵀ` solve
     /// ([`MogulIndex::solve_ranking_system_batch_in`]).
     pub(crate) multi: MultiSolveWorkspace,
@@ -172,9 +174,9 @@ impl BatchWorkspace {
 
 impl MogulIndex {
     /// Batched [`MogulIndex::search_with_stats`] over many in-database query
-    /// nodes: results (including work counters) are bit-identical to the
-    /// scalar search per query, but the factor structure is traversed once
-    /// per [`PANEL_WIDTH`]-wide panel instead of once per query.
+    /// nodes: results (including work counters) are bit-identical to
+    /// answering each query alone, but the factor structure is traversed
+    /// once per [`PANEL_WIDTH`]-wide panel instead of once per query.
     ///
     /// Allocates fresh scratch per call; serving loops should reuse a
     /// [`BatchWorkspace`] via [`MogulIndex::search_batch_in`].
@@ -237,7 +239,7 @@ impl MogulIndex {
 
     /// Batched [`MogulIndex::all_scores`]: the full approximate score vector
     /// of every query (original node order), computed panel-wise without
-    /// pruning. Each returned vector is bit-identical to the scalar
+    /// pruning. Each returned vector is bit-identical to
     /// [`MogulIndex::all_scores_in`] of the same query.
     pub fn all_scores_batch(&self, queries: &[usize]) -> Result<Vec<Vec<f64>>> {
         self.all_scores_batch_in(&mut BatchWorkspace::new(), queries)
@@ -293,7 +295,7 @@ impl MogulIndex {
     /// factorized ranking system for a panel of dense right-hand sides
     /// (`rhs[i * width + lane]`, original node order) through the blocked
     /// `mogul-sparse` kernels. Lane `l` of the output panel is bit-identical
-    /// to the scalar solve of lane `l`'s right-hand side.
+    /// to the one-lane solve of lane `l`'s right-hand side.
     pub fn solve_ranking_system_batch_in(
         &self,
         ws: &mut BatchWorkspace,
@@ -399,7 +401,7 @@ impl MogulIndex {
                 .push((self.ordering.permutation.new_index(node), weight * scale));
         }
         // Interior clusters touched by this lane (sorted, deduplicated),
-        // mirroring the scalar `query_clusters_into`.
+        // excluding the border.
         let border_idx = self.ordering.border_cluster();
         let cluster_start = ws.lane_clusters.len();
         for idx in entry_start..ws.lane_entries.len() {
@@ -420,7 +422,7 @@ impl MogulIndex {
     ///
     /// Interior query clusters are swept at **masked width** — only the
     /// lanes whose query actually touches a cluster pay for its rows, so a
-    /// panel performs exactly the per-lane work of the scalar searches — and
+    /// panel performs exactly the per-lane work of one-lane panels — and
     /// the border cluster (the work every lane shares) is swept once at full
     /// width, which is where the batching wins: one structure traversal, one
     /// `B`-wide independent-accumulator inner loop instead of `B` serial
@@ -482,7 +484,15 @@ impl MogulIndex {
     /// dispatched to the active lane kernel (scalar, or AVX2 under the
     /// `simd` feature when the CPU supports it — bit-identical either way,
     /// see `mogul_sparse::kernel`).
+    ///
+    /// A one-lane panel (every single query) runs the plain scalar
+    /// recurrence instead: at width 1 there is nothing to vectorize, and the
+    /// lane-kernel accumulator copy only costs time.
     fn forward_rows_full(&self, range: ClusterRange, ws: &mut BatchWorkspace, width: usize) {
+        if width == 1 {
+            forward_lane(&self.factors.l, &self.factors.d, range, ws, 1, 0);
+            return;
+        }
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if let Some(kernel) = avx2_if_active() {
             // SAFETY: `try_new` inside `avx2_if_active` proved AVX2 is
@@ -512,12 +522,12 @@ impl MogulIndex {
     }
 
     /// One cluster range of the forward recurrence for a masked subset of
-    /// lanes; the other lanes' entries stay zero, exactly as in the scalar
+    /// lanes; the other lanes' entries stay zero, exactly as in a one-lane
     /// restricted substitution.
     ///
     /// When most lanes are active this simply runs the full-width vectorized
     /// sweep: an inactive lane's query panel is zero on the cluster, so the
-    /// recurrence computes exact zeros for it — the same zeros the scalar
+    /// recurrence computes exact zeros for it — the same zeros a one-lane
     /// restricted substitution leaves untouched — and the shared structure
     /// traversal beats per-lane passes. With only a few active lanes the
     /// over-compute stops paying, and each active lane gets one tight
@@ -529,28 +539,23 @@ impl MogulIndex {
         width: usize,
         active: &[usize],
     ) {
-        if active.len() > MASKED_LANE_CUTOFF {
+        if width == 1 || active.len() > MASKED_LANE_CUTOFF {
             self.forward_rows_full(range, ws, width);
             return;
         }
-        let d = &self.factors.d;
         for &b in active {
-            for i in range.indices() {
-                let mut acc = ws.q_panel[i * width + b];
-                let (cols, vals) = self.factors.l.row(i);
-                for (&j, &v) in cols.iter().zip(vals.iter()) {
-                    if j < i {
-                        acc -= v * d[j] * ws.y_panel[j * width + b];
-                    }
-                }
-                ws.y_panel[i * width + b] = acc / d[i];
-            }
+            forward_lane(&self.factors.l, &self.factors.d, range, ws, width, b);
         }
     }
 
     /// Back substitution `U X' = Y` restricted to one cluster range, for
-    /// every lane of the panel, dispatched to the active lane kernel.
+    /// every lane of the panel, dispatched to the active lane kernel (a
+    /// one-lane panel runs the scalar recurrence, as in the forward sweep).
     fn back_panel_full(&self, range: ClusterRange, ws: &mut BatchWorkspace, width: usize) {
+        if width == 1 {
+            back_lane(&self.factors.u, range, ws, 1, 0);
+            return;
+        }
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if let Some(kernel) = avx2_if_active() {
             // SAFETY: `try_new` inside `avx2_if_active` proved AVX2 is
@@ -594,28 +599,19 @@ impl MogulIndex {
         width: usize,
         active: &[usize],
     ) {
-        if active.len() > MASKED_LANE_CUTOFF {
+        if width == 1 || active.len() > MASKED_LANE_CUTOFF {
             self.back_panel_full(range, ws, width);
             return;
         }
         for &b in active {
-            for i in range.indices().rev() {
-                let mut acc = ws.y_panel[i * width + b];
-                let (cols, vals) = self.factors.u.row(i);
-                for (&j, &v) in cols.iter().zip(vals.iter()) {
-                    if j > i {
-                        acc -= v * ws.x_panel[j * width + b];
-                    }
-                }
-                ws.x_panel[i * width + b] = acc;
-            }
+            back_lane(&self.factors.u, range, ws, width, b);
         }
     }
 
     /// Run Algorithm 2 over the staged panel, appending one
     /// `(result, stats)` pair per lane to `out`. Per-lane semantics
-    /// (thresholds, pruning decisions, tie-breaks, work counters) match the
-    /// scalar [`MogulIndex::search_with_stats_in`] exactly.
+    /// (thresholds, pruning decisions, tie-breaks, work counters) do not
+    /// depend on the panel width.
     pub(crate) fn search_panel_staged(
         &self,
         ws: &mut BatchWorkspace,
@@ -712,7 +708,7 @@ impl MogulIndex {
                 // A cluster with no stored border columns has `X_i = 0`
                 // exactly, for every lane — skip the panel evaluation and
                 // compare 0 against each lane's threshold directly (the
-                // scalar path computes the same empty sum).
+                // panel evaluation computes the same empty sum).
                 let no_border_columns = self.bounds.border_columns(ci).is_empty();
                 if !no_border_columns {
                     self.bounds.cluster_estimates_panel(
@@ -779,9 +775,9 @@ impl MogulIndex {
     }
 
     /// Offer one cluster range's scores to a single lane's collector. The
-    /// offer order within a range (ascending permuted index) matches the
-    /// scalar search, and offers are lane-local, so the per-lane results are
-    /// independent of the lane iteration order above.
+    /// offer order within a range is ascending permuted index, and offers
+    /// are lane-local, so the per-lane results are independent of the lane
+    /// iteration order above.
     fn offer_range_lane(
         &self,
         range: ClusterRange,
@@ -826,12 +822,63 @@ impl MogulIndex {
     }
 }
 
+/// The forward recurrence `L' y = q'` of one lane over one cluster range,
+/// reading and writing the lane's strided column of the panels. This is the
+/// only scalar form of the recurrence: one-lane panels and sparse masks both
+/// run it. The `v * d[j] * y[j]` product order is the one the lane kernels
+/// reproduce (`vd = v * d[j]`, then `acc -= vd * y[j]`).
+///
+/// `#[inline(always)]` so the width-1 call sites fold `width` and `lane`
+/// into the indexing.
+#[inline(always)]
+fn forward_lane(
+    l: &CsrMatrix,
+    d: &[f64],
+    range: ClusterRange,
+    ws: &mut BatchWorkspace,
+    width: usize,
+    lane: usize,
+) {
+    for i in range.indices() {
+        let mut acc = ws.q_panel[i * width + lane];
+        let (cols, vals) = l.row(i);
+        for (&j, &v) in cols.iter().zip(vals.iter()) {
+            if j < i {
+                acc -= v * d[j] * ws.y_panel[j * width + lane];
+            }
+        }
+        ws.y_panel[i * width + lane] = acc / d[i];
+    }
+}
+
+/// The back recurrence `U x' = y` of one lane over one cluster range (see
+/// [`forward_lane`]).
+#[inline(always)]
+fn back_lane(
+    u: &CsrMatrix,
+    range: ClusterRange,
+    ws: &mut BatchWorkspace,
+    width: usize,
+    lane: usize,
+) {
+    for i in range.indices().rev() {
+        let mut acc = ws.y_panel[i * width + lane];
+        let (cols, vals) = u.row(i);
+        for (&j, &v) in cols.iter().zip(vals.iter()) {
+            if j > i {
+                acc -= v * ws.x_panel[j * width + lane];
+            }
+        }
+        ws.x_panel[i * width + lane] = acc;
+    }
+}
+
 /// The forward-recurrence sweep body, generic over the lane kernel. The
 /// masked adaptive sweeps route through this too: a mostly-active mask
 /// delegates to the full-width sweep (over-computing inactive lanes is
 /// provably harmless, see [`MogulIndex`'s masked kernels]), while sparse
-/// masks run per-lane strided scalar recurrences where SIMD has nothing to
-/// vectorize.
+/// masks and one-lane panels run [`forward_lane`] instead, where SIMD has
+/// nothing to vectorize.
 ///
 /// `#[inline(always)]` so that instantiating this inside a
 /// `#[target_feature(enable = "avx2")]` shell inlines the kernel's

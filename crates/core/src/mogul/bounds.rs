@@ -120,9 +120,10 @@ impl ClusterBounds {
     /// (`x_panel[j * width + lane]`) in one traversal of the stored border
     /// columns, writing the per-lane bounds into `out[..width]`.
     ///
-    /// Lane `l`'s arithmetic matches the scalar estimate operation for
-    /// operation (same accumulation order, same geometric factor), so the
-    /// batched search prunes exactly the clusters the scalar search prunes.
+    /// Lane `l`'s arithmetic matches [`ClusterBounds::cluster_estimate`]
+    /// operation for operation (same accumulation order, same geometric
+    /// factor), so each lane prunes exactly the clusters the one-query
+    /// bound would.
     pub fn cluster_estimates_panel(
         &self,
         cluster: usize,
@@ -146,7 +147,7 @@ impl ClusterBounds {
         let exponent = (cluster_len - 1) as f64;
         // The geometric factor is shared by every lane; compute it at most
         // once and only if some lane needs it. Same overflow semantics as
-        // the scalar path: `inf` means "cannot prune", which is always safe.
+        // `cluster_estimate`: `inf` means "cannot prune", which is always safe.
         let mut factor = None;
         for acc in out.iter_mut() {
             if *acc != 0.0 {

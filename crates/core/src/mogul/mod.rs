@@ -26,4 +26,5 @@ mod search;
 pub use batch::{BatchWorkspace, PANEL_WIDTH};
 pub use bounds::ClusterBounds;
 pub use index::{Factorization, MogulConfig, MogulIndex, PrecomputeStats};
+pub(crate) use search::one_lane;
 pub use search::{SearchMode, SearchStats, SearchWorkspace};

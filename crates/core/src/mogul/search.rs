@@ -1,4 +1,5 @@
-//! Mogul's top-k search (Algorithm 2 of the paper).
+//! Mogul's top-k search (Algorithm 2 of the paper): the single-query entry
+//! points and the types every search shares.
 //!
 //! Given the precomputed [`MogulIndex`], a query is answered in three steps:
 //!
@@ -14,17 +15,22 @@
 //! The search also supports weighted multi-node query vectors, which is how
 //! out-of-sample queries are processed (Section 4.6.2).
 //!
+//! There is one engine: the panel engine of `mogul/batch.rs`. A single
+//! query is a one-lane panel, and at width 1 the engine's sweeps run the
+//! plain scalar recurrence, so a lone query pays nothing for the panel
+//! layout.
+//!
 //! Every entry point comes in two flavours: a convenient allocating form
 //! ([`MogulIndex::search`], …) and a `*_in` form taking a caller-owned
 //! [`SearchWorkspace`] so repeated queries reuse the `O(n)` scratch vectors —
 //! the form the concurrent serving layer (`mogul-serve`) runs per worker.
 //! Both produce bit-identical results.
 
+use crate::mogul::batch::BatchWorkspace;
 use crate::mogul::index::{Factorization, MogulIndex};
-use crate::ranking::{check_k, check_query, RankedNode, Ranker, TopKResult};
+use crate::ranking::{check_query, RankedNode, Ranker, TopKResult};
 use crate::topk::BoundedTopK;
 use crate::Result;
-use mogul_graph::ordering::ClusterRange;
 use std::cmp::Ordering as CmpOrdering;
 
 /// How much of Mogul's machinery the search uses. The three modes correspond
@@ -68,65 +74,22 @@ impl SearchStats {
     }
 }
 
-/// Reusable per-query scratch for Algorithm 2.
+/// Reusable scratch of the single-query entry points.
 ///
-/// One search touches three `O(n)` vectors (the densified query vector, the
-/// forward-substitution result `y` and the score vector `x'`) plus a handful
-/// of small per-query lists. Allocating them fresh per query is fine for
-/// one-off use, but a serving loop answering thousands of queries per second
-/// wants them reused: pass the same workspace to the `*_in` entry points
+/// A single query runs as a one-lane panel, so its scratch is the panel
+/// workspace: any [`BatchWorkspace`] serves single queries and panels alike.
+/// Pass the same workspace to the `*_in` entry points
 /// ([`MogulIndex::search_in`], [`MogulIndex::search_weighted_in`], …) and the
-/// hot substitution/pruning path performs zero heap allocations after the
-/// buffers have grown to the index size once.
-///
-/// A workspace is an inert buffer bag: it carries no index state, any
-/// workspace works with any index, and a fresh workspace behaves identically
-/// to a warm one (results are bit-identical either way).
-#[derive(Debug, Clone, Default)]
-pub struct SearchWorkspace {
-    /// Densified (scattered) query vector `q'`, zeroed between queries.
-    q_vec: Vec<f64>,
-    /// Forward-substitution result `y` of `L' y = q'`.
-    y: Vec<f64>,
-    /// Score vector `x'` of `U x' = y`, zeroed between queries.
-    x: Vec<f64>,
-    /// Scaled sparse query entries `(index, (1-α)·w)`.
-    q_scaled: Vec<(usize, f64)>,
-    /// Permuted sparse query entries for weighted (multi-node) queries.
-    permuted: Vec<(usize, f64)>,
-    /// Cluster ranges visited by the restricted forward substitution.
-    forward_ranges: Vec<ClusterRange>,
-    /// Deduplicated interior clusters touched by the query.
-    query_clusters: Vec<usize>,
-    /// Backing storage of the top-k heap, recycled between queries.
-    heap_buf: Vec<HeapEntry>,
-    /// Scratch of the unrestricted [`MogulIndex::solve_ranking_system_in`]
-    /// path (the `mogul_sparse::triangular::ldl_solve_into` intermediate).
-    solve: mogul_sparse::SolveWorkspace,
-}
-
-impl SearchWorkspace {
-    /// An empty workspace; buffers grow to the index size on first use.
-    pub fn new() -> Self {
-        SearchWorkspace::default()
-    }
-
-    /// A workspace whose three `O(n)` vectors are pre-sized for an index
-    /// over `n` nodes (the small per-query lists still grow on first use).
-    pub fn with_capacity(n: usize) -> Self {
-        SearchWorkspace {
-            q_vec: Vec::with_capacity(n),
-            y: Vec::with_capacity(n),
-            x: Vec::with_capacity(n),
-            ..SearchWorkspace::default()
-        }
-    }
-}
+/// substitution/pruning path reuses its `O(n)` buffers instead of
+/// allocating them per query. A workspace carries no index state: any
+/// workspace works with any index, and a fresh workspace gives bit-identical
+/// results to a warm one.
+pub type SearchWorkspace = BatchWorkspace;
 
 /// Top-k collector mirroring Algorithm 2's set `K`: it starts with `k`
 /// implicit dummy nodes of score 0, so the threshold `θ` is never negative
 /// and nodes with negative approximate scores are ignored. Built on the
-/// shared [`BoundedTopK`] selector; the batched panel search keeps one
+/// shared [`BoundedTopK`] selector; the engine keeps one
 /// collector per lane.
 pub(crate) struct TopKCollector {
     inner: BoundedTopK<HeapEntry>,
@@ -214,8 +177,7 @@ impl MogulIndex {
     }
 
     /// [`MogulIndex::search`] with caller-owned scratch: bit-identical
-    /// results, zero heap allocation on the substitution/pruning path once
-    /// the workspace is warm.
+    /// results, no `O(n)` allocation once the workspace is warm.
     pub fn search_in(
         &self,
         ws: &mut SearchWorkspace,
@@ -245,12 +207,9 @@ impl MogulIndex {
         k: usize,
         mode: SearchMode,
     ) -> Result<(TopKResult, SearchStats)> {
+        // A bad query id is reported before a bad `k`.
         check_query(query, self.num_nodes())?;
-        check_k(k)?;
-        let permuted_query = self.ordering.permutation.new_index(query);
-        ws.permuted.clear();
-        ws.permuted.push((permuted_query, 1.0));
-        self.search_permuted(ws, k, mode, Some(permuted_query))
+        Ok(one_lane(self.search_batch_in(ws, &[query], k, mode)?))
     }
 
     /// Top-k search for a weighted query vector given in *original* node ids
@@ -272,19 +231,12 @@ impl MogulIndex {
         k: usize,
         mode: SearchMode,
     ) -> Result<(TopKResult, SearchStats)> {
-        check_k(k)?;
-        ws.permuted.clear();
-        for &(node, weight) in query_weights {
-            check_query(node, self.num_nodes())?;
-            if !weight.is_finite() {
-                return Err(crate::CoreError::InvalidInput(format!(
-                    "query weight for node {node} is not finite"
-                )));
-            }
-            ws.permuted
-                .push((self.ordering.permutation.new_index(node), weight));
-        }
-        self.search_permuted(ws, k, mode, None)
+        Ok(one_lane(self.search_weighted_batch_in(
+            ws,
+            &[query_weights],
+            k,
+            mode,
+        )?))
     }
 
     /// Approximate ranking scores of **all** nodes (original node order),
@@ -297,12 +249,7 @@ impl MogulIndex {
     /// [`MogulIndex::all_scores`] with caller-owned scratch (the returned
     /// score vector itself is still freshly allocated).
     pub fn all_scores_in(&self, ws: &mut SearchWorkspace, query: usize) -> Result<Vec<f64>> {
-        check_query(query, self.num_nodes())?;
-        let permuted_query = self.ordering.permutation.new_index(query);
-        ws.permuted.clear();
-        ws.permuted.push((permuted_query, 1.0));
-        self.scores_permuted(ws)?;
-        self.ordering.permutation.unpermute_vec(&ws.x)
+        Ok(one_lane(self.all_scores_batch_in(ws, &[query])?))
     }
 
     /// Solve the factorized ranking system `W x = rhs` for an arbitrary dense
@@ -325,7 +272,9 @@ impl MogulIndex {
     }
 
     /// [`MogulIndex::solve_ranking_system`] with caller-owned scratch and
-    /// output buffer: bit-identical results, zero allocation once warm.
+    /// output buffer: the one-lane form of
+    /// [`MogulIndex::solve_ranking_system_batch_in`], bit-identical results,
+    /// zero allocation once warm.
     pub fn solve_ranking_system_in(
         &self,
         ws: &mut SearchWorkspace,
@@ -340,234 +289,15 @@ impl MogulIndex {
                 right: (rhs.len(), 1),
             });
         }
-        // Permute the right-hand side: q'[P(i)] = rhs[i].
-        ws.q_vec.clear();
-        ws.q_vec.resize(n, 0.0);
-        for (old, &value) in rhs.iter().enumerate() {
-            ws.q_vec[self.ordering.permutation.new_index(old)] = value;
-        }
-        // Full two-phase substitution `L D Lᵀ x' = q'` — the shared sparse
-        // kernel, not a local re-implementation.
-        mogul_sparse::triangular::ldl_solve_into(
-            &self.factors.l,
-            &self.factors.u,
-            &self.factors.d,
-            &ws.q_vec,
-            &mut ws.solve,
-            &mut ws.x,
-        )?;
-        // Unpermute: out[i] = x'[P(i)].
-        out.clear();
-        out.resize(n, 0.0);
-        for (new, &value) in ws.x.iter().enumerate() {
-            out[self.ordering.permutation.old_index(new)] = value;
-        }
-        Ok(())
+        self.solve_ranking_system_batch_in(ws, rhs, 1, out)
     }
+}
 
-    // ----------------------------------------------------------------------
-    // Internals
-    // ----------------------------------------------------------------------
-
-    /// Forward substitution `L' y = q'` restricted to `ranges` (ascending),
-    /// writing into caller-owned buffers: `q_vec` receives the densified
-    /// query vector and `y` the substitution result (both zeroed here).
-    fn forward_selected(
-        &self,
-        q_scaled: &[(usize, f64)],
-        ranges: &[ClusterRange],
-        q_vec: &mut Vec<f64>,
-        y: &mut Vec<f64>,
-    ) {
-        let n = self.num_nodes();
-        q_vec.clear();
-        q_vec.resize(n, 0.0);
-        for &(idx, value) in q_scaled {
-            q_vec[idx] += value;
-        }
-        y.clear();
-        y.resize(n, 0.0);
-        let d = &self.factors.d;
-        for range in ranges {
-            for i in range.indices() {
-                let (cols, vals) = self.factors.l.row(i);
-                let mut sum = q_vec[i];
-                for (&j, &v) in cols.iter().zip(vals.iter()) {
-                    if j < i {
-                        sum -= v * d[j] * y[j];
-                    }
-                }
-                y[i] = sum / d[i];
-            }
-        }
-    }
-
-    /// Back substitution `U x' = y` restricted to one cluster range; assumes
-    /// all later ranges this cluster couples to (i.e. the border) are already
-    /// in `x`.
-    fn back_substitute_range(&self, range: ClusterRange, y: &[f64], x: &mut [f64]) {
-        for i in range.indices().rev() {
-            let (cols, vals) = self.factors.u.row(i);
-            let mut sum = y[i];
-            for (&j, &v) in cols.iter().zip(vals.iter()) {
-                if j > i {
-                    sum -= v * x[j];
-                }
-            }
-            x[i] = sum;
-        }
-    }
-
-    /// The interior clusters touched by the query vector (deduplicated,
-    /// ascending), excluding the border cluster, written into `out`.
-    fn query_clusters_into(&self, q_entries: &[(usize, f64)], out: &mut Vec<usize>) {
-        let border_idx = self.ordering.border_cluster();
-        out.clear();
-        out.extend(
-            q_entries
-                .iter()
-                .map(|&(idx, _)| self.ordering.cluster_of_permuted(idx))
-                .filter(|&c| c != border_idx),
-        );
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// Scale the query entries in `ws.permuted` by `(1 − α)` into
-    /// `ws.q_scaled` and collect the touched interior clusters.
-    fn prepare_query(&self, ws: &mut SearchWorkspace) {
-        let scale = self.params.query_scale();
-        ws.q_scaled.clear();
-        ws.q_scaled
-            .extend(ws.permuted.iter().map(|&(idx, w)| (idx, w * scale)));
-        self.query_clusters_into(&ws.q_scaled, &mut ws.query_clusters);
-    }
-
-    /// Scores of all nodes in permuted order (left in `ws.x`), computed with
-    /// the restricted forward pass and an unrestricted (every cluster)
-    /// backward pass. The query entries are read from `ws.permuted`.
-    fn scores_permuted(&self, ws: &mut SearchWorkspace) -> Result<()> {
-        let n = self.num_nodes();
-        if n == 0 {
-            ws.x.clear();
-            return Ok(());
-        }
-        self.prepare_query(ws);
-        let border_idx = self.ordering.border_cluster();
-        ws.forward_ranges.clear();
-        for &c in &ws.query_clusters {
-            ws.forward_ranges.push(self.ordering.clusters[c]);
-        }
-        ws.forward_ranges.push(self.ordering.clusters[border_idx]);
-        self.forward_selected(&ws.q_scaled, &ws.forward_ranges, &mut ws.q_vec, &mut ws.y);
-
-        ws.x.clear();
-        ws.x.resize(n, 0.0);
-        self.back_substitute_range(self.ordering.clusters[border_idx], &ws.y, &mut ws.x);
-        for (ci, &range) in self.ordering.clusters.iter().enumerate() {
-            if ci == border_idx {
-                continue;
-            }
-            self.back_substitute_range(range, &ws.y, &mut ws.x);
-        }
-        Ok(())
-    }
-
-    /// Algorithm 2 proper, over the permuted weighted query vector held in
-    /// `ws.permuted`.
-    fn search_permuted(
-        &self,
-        ws: &mut SearchWorkspace,
-        k: usize,
-        mode: SearchMode,
-        exclude_permuted: Option<usize>,
-    ) -> Result<(TopKResult, SearchStats)> {
-        let n = self.num_nodes();
-        let mut stats = SearchStats::default();
-        if n == 0 {
-            return Ok((TopKResult::default(), stats));
-        }
-        self.prepare_query(ws);
-
-        let mut collector = TopKCollector::with_buffer(k, std::mem::take(&mut ws.heap_buf));
-        let offer_range = |collector: &mut TopKCollector, range: ClusterRange, x: &[f64]| {
-            for i in range.indices() {
-                if Some(i) == exclude_permuted {
-                    continue;
-                }
-                collector.offer(self.ordering.permutation.old_index(i), x[i]);
-            }
-        };
-        let finish = |collector: TopKCollector, ws: &mut SearchWorkspace, stats| {
-            let (result, buf) = collector.finish();
-            ws.heap_buf = buf;
-            Ok((result, stats))
-        };
-
-        if mode == SearchMode::FullSubstitution {
-            // Ignore the sparse structure entirely: one pass of forward and
-            // back substitution over every node.
-            let full = ClusterRange { start: 0, len: n };
-            ws.forward_ranges.clear();
-            ws.forward_ranges.push(full);
-            self.forward_selected(&ws.q_scaled, &ws.forward_ranges, &mut ws.q_vec, &mut ws.y);
-            ws.x.clear();
-            ws.x.resize(n, 0.0);
-            self.back_substitute_range(full, &ws.y, &mut ws.x);
-            stats.nodes_scored = n;
-            offer_range(&mut collector, full, &ws.x);
-            return finish(collector, ws, stats);
-        }
-
-        let border_idx = self.ordering.border_cluster();
-        let border_range = self.ordering.clusters[border_idx];
-
-        // Forward substitution restricted to C_Q ∪ C_N (Lemma 4).
-        ws.forward_ranges.clear();
-        for &c in &ws.query_clusters {
-            ws.forward_ranges.push(self.ordering.clusters[c]);
-        }
-        ws.forward_ranges.push(border_range);
-        self.forward_selected(&ws.q_scaled, &ws.forward_ranges, &mut ws.q_vec, &mut ws.y);
-
-        // Back substitution for C_N first (its scores feed every other
-        // cluster via Lemma 5), then for the query clusters.
-        ws.x.clear();
-        ws.x.resize(n, 0.0);
-        self.back_substitute_range(border_range, &ws.y, &mut ws.x);
-        stats.nodes_scored += border_range.len;
-        for &c in &ws.query_clusters {
-            let range = self.ordering.clusters[c];
-            self.back_substitute_range(range, &ws.y, &mut ws.x);
-            stats.nodes_scored += range.len;
-        }
-        offer_range(&mut collector, border_range, &ws.x);
-        for &c in &ws.query_clusters {
-            offer_range(&mut collector, self.ordering.clusters[c], &ws.x);
-        }
-
-        // Remaining interior clusters: prune or score.
-        for (ci, &range) in self.ordering.clusters.iter().enumerate() {
-            if ci == border_idx || ws.query_clusters.contains(&ci) || range.is_empty() {
-                continue;
-            }
-            stats.clusters_considered += 1;
-            if mode == SearchMode::Pruned {
-                stats.bound_evaluations += 1;
-                let x = &ws.x;
-                let estimate = self.bounds.cluster_estimate(ci, range.len, |j| x[j]);
-                if estimate < collector.threshold() {
-                    stats.clusters_pruned += 1;
-                    continue;
-                }
-            }
-            self.back_substitute_range(range, &ws.y, &mut ws.x);
-            stats.nodes_scored += range.len;
-            offer_range(&mut collector, range, &ws.x);
-        }
-
-        finish(collector, ws, stats)
-    }
+/// The answer of a one-lane panel.
+pub(crate) fn one_lane<T>(mut lanes: Vec<T>) -> T {
+    lanes
+        .pop()
+        .expect("a one-lane panel yields exactly one answer")
 }
 
 impl Ranker for MogulIndex {

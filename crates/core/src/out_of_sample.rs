@@ -9,9 +9,7 @@
 //! Algorithm 2 search. Both phases are `O(n)`; Table 2 of the paper breaks
 //! the total time into exactly these two parts.
 
-use crate::mogul::{
-    BatchWorkspace, MogulIndex, SearchMode, SearchStats, SearchWorkspace, PANEL_WIDTH,
-};
+use crate::mogul::{one_lane, BatchWorkspace, MogulIndex, SearchMode, SearchStats, PANEL_WIDTH};
 use crate::ranking::{check_k, TopKResult};
 use crate::topk::{f64_sort_key, BoundedTopK, Entry};
 use crate::{CoreError, Result};
@@ -21,16 +19,18 @@ use std::time::Instant;
 ///
 /// An out-of-sample query has two phases (Section 4.6.2): the nearest-cluster
 /// / nearest-neighbour scan that builds the weighted query vector, and the
-/// ordinary Algorithm 2 search over it. Both touch `O(n)` scratch; keeping it
-/// in a caller-owned workspace lets a serving loop (see `mogul-serve`) answer
-/// repeated queries with zero heap allocations on the substitution/pruning
-/// path after warm-up. Like [`SearchWorkspace`], the workspace carries no
-/// index state: any workspace works with any index and results are
-/// bit-identical to the allocating [`OutOfSampleIndex::query`].
+/// ordinary Algorithm 2 search over it. The engine's panel workspace holds
+/// the scratch of both, so one workspace serves in-database and
+/// out-of-sample queries, single or batched (the `mogul-serve` workers do
+/// exactly that). It carries no index state: any workspace works with any
+/// index and results are bit-identical to the allocating
+/// [`OutOfSampleIndex::query`].
+pub type OosWorkspace = BatchWorkspace;
+
+/// Phase-1 scratch of an out-of-sample query: the buffers of the bounded
+/// nearest-cluster and nearest-neighbour selections and their output.
 #[derive(Debug, Clone, Default)]
-pub struct OosWorkspace {
-    /// Scratch of the Algorithm 2 search phase.
-    search: SearchWorkspace,
+pub(crate) struct NeighborScratch {
     /// Recycled buffer of the bounded nearest-cluster selection
     /// (`(centroid distance² key, cluster)` pairs).
     cluster_order: Vec<(u64, usize)>,
@@ -41,29 +41,6 @@ pub struct OosWorkspace {
     scored: Vec<(usize, f64)>,
     /// Normalized heat-kernel weighted multi-node query vector.
     weights: Vec<(usize, f64)>,
-}
-
-impl OosWorkspace {
-    /// An empty workspace; buffers grow to the index size on first use.
-    pub fn new() -> Self {
-        OosWorkspace::default()
-    }
-
-    /// A workspace whose search scratch is pre-sized for an index over `n`
-    /// nodes (the phase-1 buffers grow on first use either way).
-    pub fn with_capacity(n: usize) -> Self {
-        OosWorkspace {
-            search: SearchWorkspace::with_capacity(n),
-            ..OosWorkspace::default()
-        }
-    }
-
-    /// The embedded Algorithm 2 search scratch, for callers that interleave
-    /// in-database and out-of-sample queries over a single workspace (the
-    /// `mogul-serve` workers do exactly that).
-    pub fn search_mut(&mut self) -> &mut SearchWorkspace {
-        &mut self.search
-    }
 }
 
 /// Configuration of the out-of-sample query path.
@@ -216,53 +193,30 @@ impl OutOfSampleIndex {
 
     /// [`OutOfSampleIndex::query`] with caller-owned scratch: bit-identical
     /// results, with the `O(n)` substitution/pruning buffers reused across
-    /// calls instead of reallocated.
+    /// calls instead of reallocated. The one-lane form of
+    /// [`OutOfSampleIndex::query_batch_in`].
     pub fn query_in(
         &self,
         ws: &mut OosWorkspace,
         feature: &[f64],
         k: usize,
     ) -> Result<OutOfSampleResult> {
-        check_k(k)?;
-
-        // Phase 1: nearest cluster(s) by centroid, then nearest neighbours
-        // inside them, turned into a normalized weighted query vector.
-        let nn_start = Instant::now();
-        self.collect_query_weights(ws, feature)?;
-        let nearest_neighbor_secs = nn_start.elapsed().as_secs_f64();
-
-        // Phase 2: ordinary Mogul search with the weighted query vector.
-        let search_start = Instant::now();
-        let OosWorkspace {
-            search, weights, ..
-        } = ws;
-        let (top_k, stats) =
-            self.index
-                .search_weighted_in(search, weights, k, SearchMode::Pruned)?;
-        let top_k_secs = search_start.elapsed().as_secs_f64();
-
-        Ok(OutOfSampleResult {
-            top_k,
-            neighbors: ws.scored.iter().map(|&(node, _)| node).collect(),
-            nearest_neighbor_secs,
-            top_k_secs,
-            stats,
-        })
+        Ok(one_lane(self.query_batch_in(ws, &[feature], k)?))
     }
 
     /// Batched [`OutOfSampleIndex::query`] over many feature vectors.
     ///
     /// Phase 1 (nearest cluster / nearest neighbours / weight construction)
-    /// runs per query exactly as in the scalar path; phase 2 packs the
-    /// weighted query vectors into [`PANEL_WIDTH`]-wide panels and runs the
-    /// batched Algorithm 2 engine, so the factor structure is traversed once
-    /// per panel instead of once per query. Rankings, neighbours and work
-    /// counters are bit-identical to [`OutOfSampleIndex::query_in`] per
-    /// query; only the timing split differs — `top_k_secs` reports each
-    /// lane's even share of its panel's phase-2 wall clock.
+    /// runs per query; phase 2 packs the weighted query vectors into
+    /// [`PANEL_WIDTH`]-wide panels and runs the Algorithm 2 engine, so the
+    /// factor structure is traversed once per panel instead of once per
+    /// query. Rankings, neighbours and work counters are bit-identical to
+    /// [`OutOfSampleIndex::query_in`] per query; only the timing split
+    /// differs — `top_k_secs` reports each lane's even share of its panel's
+    /// phase-2 wall clock.
     ///
     /// One invalid feature fails the whole call (callers needing per-query
-    /// error isolation, like `mogul-serve`, fall back to scalar queries for
+    /// error isolation, like `mogul-serve`, fall back to per-query calls for
     /// the affected batch).
     pub fn query_batch_in(
         &self,
@@ -279,12 +233,12 @@ impl OutOfSampleIndex {
             phase1.clear();
             for &feature in chunk {
                 let nn_start = Instant::now();
-                self.collect_query_weights(&mut ws.oos, feature)?;
+                self.collect_query_weights(&mut ws.neighbors, feature)?;
                 let nn_secs = nn_start.elapsed().as_secs_f64();
-                let neighbors = ws.oos.scored.iter().map(|&(node, _)| node).collect();
-                let weights = std::mem::take(&mut ws.oos.weights);
+                let neighbors = ws.neighbors.scored.iter().map(|&(node, _)| node).collect();
+                let weights = std::mem::take(&mut ws.neighbors.weights);
                 let pushed = self.index.batch_push_lane(ws, &weights, None);
-                ws.oos.weights = weights;
+                ws.neighbors.weights = weights;
                 pushed?;
                 phase1.push((nn_secs, neighbors));
             }
@@ -328,20 +282,15 @@ impl OutOfSampleIndex {
             .min_by(f64::total_cmp)
     }
 
-    /// Phase 1 of Section 4.6.2 (shared by the scalar and batched paths):
-    /// validate `feature`, find the nearest non-empty cluster(s), select the
-    /// `num_neighbors` nearest members, and leave the selected `(node,
-    /// distance)` pairs in `ws.scored` (nearest first) and the normalized
-    /// heat-kernel query vector in `ws.weights`.
+    /// Phase 1 of Section 4.6.2: validate `feature`, find the nearest
+    /// non-empty cluster(s), select the `num_neighbors` nearest members, and
+    /// leave the selected `(node, distance)` pairs in `ws.scored` (nearest
+    /// first) and the normalized heat-kernel query vector in `ws.weights`.
     ///
     /// Both selections run through the shared bounded top-k collector
     /// (`O(n log k)`, no full sort); ties are pinned to the earlier
     /// candidate, matching the stable sort this replaced.
-    pub(crate) fn collect_query_weights(
-        &self,
-        ws: &mut OosWorkspace,
-        feature: &[f64],
-    ) -> Result<()> {
+    fn collect_query_weights(&self, ws: &mut NeighborScratch, feature: &[f64]) -> Result<()> {
         let dim = self.features.first().map_or(0, |f| f.len());
         if feature.len() != dim {
             return Err(CoreError::DimensionMismatch {
@@ -403,30 +352,36 @@ impl OutOfSampleIndex {
         picked.clear();
         ws.candidates = picked;
 
-        // Heat-kernel weights over the neighbours, normalized to sum 1.
-        let sigma = {
-            let mean: f64 =
-                ws.scored.iter().map(|&(_, d)| d).sum::<f64>() / ws.scored.len().max(1) as f64;
-            mean.max(1e-12)
-        };
-        ws.weights.clear();
-        ws.weights.extend(
-            ws.scored
-                .iter()
-                .map(|&(node, d)| (node, (-d * d / (2.0 * sigma * sigma)).exp())),
-        );
-        let total: f64 = ws.weights.iter().map(|&(_, w)| w).sum();
-        if total > 1e-300 {
-            for w in ws.weights.iter_mut() {
-                w.1 /= total;
-            }
-        } else {
-            let uniform = 1.0 / ws.weights.len().max(1) as f64;
-            for w in ws.weights.iter_mut() {
-                w.1 = uniform;
-            }
-        }
+        heat_kernel_weights(&ws.scored, &mut ws.weights);
         Ok(())
+    }
+}
+
+/// The weighted query vector of an out-of-sample query: heat-kernel weights
+/// `exp(−d² / 2σ²)` over the selected `(node, distance)` neighbours, with
+/// `σ` their mean distance (floored at `1e-12`), normalized to sum 1 — or
+/// uniform when every weight underflows. Written into `weights`.
+pub(crate) fn heat_kernel_weights(scored: &[(usize, f64)], weights: &mut Vec<(usize, f64)>) {
+    let sigma = {
+        let mean: f64 = scored.iter().map(|&(_, d)| d).sum::<f64>() / scored.len().max(1) as f64;
+        mean.max(1e-12)
+    };
+    weights.clear();
+    weights.extend(
+        scored
+            .iter()
+            .map(|&(node, d)| (node, (-d * d / (2.0 * sigma * sigma)).exp())),
+    );
+    let total: f64 = weights.iter().map(|&(_, w)| w).sum();
+    if total > 1e-300 {
+        for w in weights.iter_mut() {
+            w.1 /= total;
+        }
+    } else {
+        let uniform = 1.0 / weights.len().max(1) as f64;
+        for w in weights.iter_mut() {
+            w.1 = uniform;
+        }
     }
 }
 

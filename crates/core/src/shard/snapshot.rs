@@ -46,13 +46,11 @@ pub struct ShardScatterStats {
     pub search: SearchStats,
 }
 
-/// Caller-owned scratch for sharded queries: the per-shard workspace plus
-/// the gather-phase merge buffer. Reusing one across queries keeps the hot
-/// path allocation-free once the buffers have grown.
+/// Caller-owned scratch for sharded queries: the per-shard workspace.
+/// Reusing one across queries keeps the `O(n)` search buffers warm.
 #[derive(Debug, Default)]
 pub struct ShardedWorkspace {
     pub(crate) inner: SnapshotWorkspace,
-    merge: Vec<Entry<(Reverse<u64>, usize), RankedNode>>,
 }
 
 impl ShardedWorkspace {
@@ -241,9 +239,9 @@ impl ShardedSnapshot {
 
     /// Batched in-database queries: ids are grouped by owning shard, each
     /// group runs through the shard's panel-blocked batch engine, and the
-    /// answers scatter back into request order — bit-identical to the
-    /// scalar path per query. Like the monolithic batch call, one unknown
-    /// id fails the whole call.
+    /// answers scatter back into request order — bit-identical to
+    /// [`Self::query_by_id_in`] per query. Like the monolithic batch call,
+    /// one unknown id fails the whole call.
     pub fn query_batch_by_id_in(
         &self,
         ws: &mut ShardedWorkspace,
@@ -316,71 +314,31 @@ impl ShardedSnapshot {
 
         if let [only] = probes {
             // Single-probe fast path (the paper-faithful default): the
-            // shard's answer is the global answer after id translation.
-            let res = self.shards[*only].query_by_feature_in(&mut ws.inner, feature, k)?;
+            // shard's leg is the global answer, in the shard's own tie order.
+            let res = self.query_shard_by_feature_in(ws, *only, feature, k)?;
             let stats = self.scatter_stats(1, res.stats);
-            let translated = OutOfSampleResult {
-                top_k: self.translate_top_k(*only, &res.top_k),
-                neighbors: res
-                    .neighbors
-                    .iter()
-                    .map(|&local| self.global_of_local(*only, local))
-                    .collect(),
-                ..res
-            };
-            return Ok((translated, stats));
+            return Ok((res, stats));
         }
 
-        let mut merged = BoundedTopK::with_buffer(k, std::mem::take(&mut ws.merge));
-        let mut neighbors = Vec::new();
-        let mut nearest_neighbor_secs = 0.0;
-        let mut top_k_secs = 0.0;
-        let mut search = SearchStats::default();
-        for &shard in probes {
-            let res = self.shards[shard].query_by_feature_in(&mut ws.inner, feature, k)?;
-            for item in res.top_k.items() {
-                let global = self.global_of_local(shard, item.node);
-                merged.offer(Entry {
-                    key: (Reverse(f64_sort_key(item.score)), global),
-                    value: RankedNode {
-                        node: global,
-                        score: item.score,
-                    },
-                });
-            }
-            neighbors.extend(
-                res.neighbors
-                    .iter()
-                    .map(|&local| self.global_of_local(shard, local)),
-            );
-            nearest_neighbor_secs += res.nearest_neighbor_secs;
-            top_k_secs += res.top_k_secs;
-            search.merge(&res.stats);
-        }
-        let mut picked = merged.into_sorted_vec();
-        let top_k = TopKResult::new(picked.iter().map(|e| e.value).collect());
-        picked.clear();
-        ws.merge = picked;
-
-        let stats = self.scatter_stats(probes.len(), search);
-        Ok((
-            OutOfSampleResult {
-                top_k,
-                neighbors,
-                nearest_neighbor_secs,
-                top_k_secs,
-                stats: search,
-            },
-            stats,
-        ))
+        // Multi-probe: one scatter leg per probed shard, gathered by
+        // `merge_scatter` — the same legs and merge the serving layer's
+        // degraded scatter-gather uses.
+        let legs = probes
+            .iter()
+            .map(|&shard| self.query_shard_by_feature_in(ws, shard, feature, k))
+            .collect::<Result<Vec<_>>>()?;
+        let merged = Self::merge_scatter(k, &legs);
+        let stats = self.scatter_stats(probes.len(), merged.stats);
+        Ok((merged, stats))
     }
 
     /// Batched out-of-sample queries. With a single probe per query (the
     /// default), features are grouped by routed shard and run through each
     /// shard's panel-blocked batch engine; multi-probe configurations fall
     /// back to per-query scatter-gather. Either way every answer is
-    /// bit-identical to the scalar path. One unroutable feature fails the
-    /// whole call, mirroring the monolithic batch semantics.
+    /// bit-identical to [`Self::query_by_feature_in`]. One unroutable
+    /// feature fails the whole call, mirroring the monolithic batch
+    /// semantics.
     pub fn query_batch_by_feature_in(
         &self,
         ws: &mut ShardedWorkspace,

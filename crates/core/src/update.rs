@@ -46,10 +46,10 @@
 //! every rebuild.
 
 use crate::engine::RetrievalEngineBuilder;
-use crate::mogul::{
-    BatchWorkspace, MogulConfig, MogulIndex, SearchMode, SearchStats, SearchWorkspace, PANEL_WIDTH,
+use crate::mogul::{BatchWorkspace, MogulConfig, MogulIndex, SearchMode, SearchStats, PANEL_WIDTH};
+use crate::out_of_sample::{
+    heat_kernel_weights, OutOfSampleConfig, OutOfSampleIndex, OutOfSampleResult,
 };
-use crate::out_of_sample::{OosWorkspace, OutOfSampleConfig, OutOfSampleIndex, OutOfSampleResult};
 use crate::ranking::{check_k, RankedNode, TopKResult};
 use crate::topk::BoundedTopK;
 use crate::{CoreError, Result};
@@ -851,7 +851,7 @@ impl UpdatableIndex {
         }
 
         let base = Arc::clone(&self.base);
-        let mut solve_ws = SearchWorkspace::with_capacity(base_len);
+        let mut solve_ws = BatchWorkspace::new();
         let mut base_part = Vec::with_capacity(base_len);
         let correction = WoodburyCorrection::new(total, &u_cols, v_cols, |rhs, out| {
             base.index().solve_ranking_system_in(
@@ -1038,14 +1038,13 @@ enum SnapshotState {
 
 /// Reusable scratch for the snapshot query paths (one per serving worker).
 ///
-/// Wraps an [`OosWorkspace`] (whose embedded search scratch also drives the
-/// base solves) plus the correction buffers. Carries no snapshot state: any
-/// workspace works with any snapshot and results are identical either way.
+/// Wraps the engine's [`BatchWorkspace`] (which serves clean queries, single
+/// or batched, and the base solves of corrected ones) plus the correction
+/// buffers. Carries no snapshot state: any workspace works with any snapshot
+/// and results are identical either way.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotWorkspace {
-    /// Scratch of the clean (pruned Algorithm 2) paths.
-    oos: OosWorkspace,
-    /// Scratch of the batched (panel) query paths.
+    /// Scratch of the Algorithm 2 engine and of the base solves.
     batch: BatchWorkspace,
     /// Densified right-hand side of the corrected solve (a panel of up to
     /// [`PANEL_WIDTH`] columns on the batched path).
@@ -1068,12 +1067,7 @@ impl SnapshotWorkspace {
         SnapshotWorkspace::default()
     }
 
-    /// The embedded out-of-sample / search scratch.
-    pub fn oos_mut(&mut self) -> &mut OosWorkspace {
-        &mut self.oos
-    }
-
-    /// The embedded batched (panel) scratch.
+    /// The embedded engine scratch.
     pub fn batch_mut(&mut self) -> &mut BatchWorkspace {
         &mut self.batch
     }
@@ -1200,27 +1194,20 @@ impl IndexSnapshot {
         })?;
         match &self.state {
             SnapshotState::Clean => {
-                let top = self.oos.index().search_in(ws.oos.search_mut(), node, k)?;
+                let top = self.oos.index().search_in(&mut ws.batch, node, k)?;
                 Ok(self.remap_top_k(&top))
             }
             SnapshotState::Corrected {
                 correction, live, ..
             } => {
                 let SnapshotWorkspace {
-                    oos,
+                    batch,
                     rhs,
                     scores,
                     corr,
                     ..
                 } = ws;
-                self.corrected_scores(
-                    oos.search_mut(),
-                    rhs,
-                    scores,
-                    corr,
-                    correction,
-                    &[(node, 1.0)],
-                )?;
+                self.corrected_scores(batch, rhs, scores, corr, correction, &[(node, 1.0)])?;
                 Ok(self.select_top_k(scores, live, k, Some(node)))
             }
         }
@@ -1230,10 +1217,10 @@ impl IndexSnapshot {
     /// in-database queries, panel-blocked through the batched Algorithm 2
     /// engine (clean snapshots) or the multi-RHS `L D Lᵀ` solve plus
     /// per-lane Woodbury corrections (corrected snapshots). Results are
-    /// bit-identical to the scalar path per query.
+    /// bit-identical to [`IndexSnapshot::query_by_id_in`] per query.
     ///
     /// One unknown id fails the whole call (callers needing per-request
-    /// error isolation, like `mogul-serve`, fall back to scalar queries for
+    /// error isolation, like `mogul-serve`, fall back to per-query calls for
     /// the affected batch).
     pub fn query_batch_by_id_in(
         &self,
@@ -1326,7 +1313,7 @@ impl IndexSnapshot {
     ) -> Result<OutOfSampleResult> {
         match &self.state {
             SnapshotState::Clean => {
-                let mut result = self.oos.query_in(&mut ws.oos, feature, k)?;
+                let mut result = self.oos.query_in(&mut ws.batch, feature, k)?;
                 result.top_k = self.remap_top_k(&result.top_k);
                 for node in result.neighbors.iter_mut() {
                     *node = self.ids[*node];
@@ -1353,8 +1340,8 @@ impl IndexSnapshot {
                 }
 
                 // Phase 1: exact nearest neighbours among live items, then
-                // normalized heat-kernel weights (mirrors
-                // `OutOfSampleIndex::query_in`). The shared bounded top-k
+                // the heat-kernel weights `OutOfSampleIndex::query_in` uses
+                // too. The shared bounded top-k
                 // collector keeps the scan at O(n log num_neighbors) instead
                 // of sorting all n candidates; finite non-negative distances
                 // order by their IEEE bit patterns, so the key is
@@ -1377,34 +1364,13 @@ impl IndexSnapshot {
                         .into_iter()
                         .map(|(bits, u)| (u, f64::from_bits(bits).sqrt())),
                 );
-                let sigma = {
-                    let mean: f64 = ws.scored.iter().map(|&(_, d)| d).sum::<f64>()
-                        / ws.scored.len().max(1) as f64;
-                    mean.max(1e-12)
-                };
-                ws.weights.clear();
-                ws.weights.extend(
-                    ws.scored
-                        .iter()
-                        .map(|&(node, d)| (node, (-d * d / (2.0 * sigma * sigma)).exp())),
-                );
-                let total: f64 = ws.weights.iter().map(|&(_, w)| w).sum();
-                if total > 1e-300 {
-                    for w in ws.weights.iter_mut() {
-                        w.1 /= total;
-                    }
-                } else {
-                    let uniform = 1.0 / ws.weights.len().max(1) as f64;
-                    for w in ws.weights.iter_mut() {
-                        w.1 = uniform;
-                    }
-                }
+                heat_kernel_weights(&ws.scored, &mut ws.weights);
                 let nearest_neighbor_secs = nn_start.elapsed().as_secs_f64();
 
                 // Phase 2: corrected solve over the weighted query vector.
                 let search_start = Instant::now();
                 let SnapshotWorkspace {
-                    oos,
+                    batch,
                     rhs,
                     scores,
                     corr,
@@ -1412,7 +1378,7 @@ impl IndexSnapshot {
                     weights,
                     ..
                 } = ws;
-                self.corrected_scores(oos.search_mut(), rhs, scores, corr, correction, weights)?;
+                self.corrected_scores(batch, rhs, scores, corr, correction, weights)?;
                 let top_k = self.select_top_k(scores, live, k, None);
                 let top_k_secs = search_start.elapsed().as_secs_f64();
 
@@ -1435,9 +1401,10 @@ impl IndexSnapshot {
     /// Batched [`IndexSnapshot::query_by_feature`]: on a clean snapshot the
     /// batch runs through the panel-blocked
     /// [`OutOfSampleIndex::query_batch_in`]; on a corrected snapshot each
-    /// feature takes the scalar corrected path (phase 1 — the exact
+    /// feature takes the single-query corrected path (phase 1 — the exact
     /// nearest-neighbour scan — dominates there, and it is per-query work
-    /// either way). Results are bit-identical to the scalar path per query.
+    /// either way). Results are bit-identical to
+    /// [`IndexSnapshot::query_by_feature_in`] per query.
     pub fn query_batch_by_feature_in(
         &self,
         ws: &mut SnapshotWorkspace,
@@ -1469,7 +1436,7 @@ impl IndexSnapshot {
     /// the appended block, then the Woodbury correction.
     fn corrected_scores(
         &self,
-        solve_ws: &mut SearchWorkspace,
+        solve_ws: &mut BatchWorkspace,
         rhs: &mut Vec<f64>,
         scores: &mut Vec<f64>,
         corr: &mut CorrectionWorkspace,

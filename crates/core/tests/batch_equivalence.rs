@@ -1,14 +1,17 @@
-//! Batched-vs-scalar equivalence: the panel engine must reproduce the
-//! scalar Algorithm 2 paths per lane.
+//! Engine-vs-reference equivalence: the panel engine (the library's only
+//! Algorithm-2 implementation) must reproduce an independent scalar
+//! implementation of Algorithm 2 — `reference/mod.rs`, built on public API
+//! only — per lane, at every batch size including 1 (the single-query entry
+//! points).
 //!
-//! In exact (MogulE, complete factorization) mode the comparison is
-//! **bit-identical** — `TopKResult`s are compared with `==`, which compares
-//! `f64` scores exactly — and the per-lane work counters (`SearchStats`,
-//! including pruning decisions) must match too. With the incomplete
-//! factorization the same bit-level agreement is expected by construction
-//! (each lane performs the same floating-point operations in the same
-//! order); the suite asserts it, which is stricter than the documented
-//! 1e-9 tolerance contract of `docs/PERFORMANCE.md`.
+//! The comparison is **bit-identical** for both factorizations —
+//! `TopKResult`s are compared with `==`, which compares `f64` scores
+//! exactly — and the per-lane work counters (`SearchStats`, including
+//! pruning decisions) must match too: each lane performs the reference's
+//! floating-point operations in the reference's order, which is stricter
+//! than the documented 1e-9 tolerance contract of `docs/PERFORMANCE.md`.
+
+mod reference;
 
 use mogul_core::{
     BatchWorkspace, MogulConfig, MogulIndex, OosWorkspace, OutOfSampleConfig, OutOfSampleIndex,
@@ -16,6 +19,7 @@ use mogul_core::{
 };
 use mogul_data::coil::{coil_like, CoilLikeConfig};
 use mogul_graph::knn::{knn_graph, KnnConfig};
+use reference::Reference;
 
 fn build_indices() -> (mogul_data::Dataset, MogulIndex, MogulIndex) {
     let data = coil_like(&CoilLikeConfig {
@@ -45,38 +49,45 @@ fn batch_sizes() -> Vec<usize> {
     ]
 }
 
+const MODES: [SearchMode; 3] = [
+    SearchMode::Pruned,
+    SearchMode::NoPruning,
+    SearchMode::FullSubstitution,
+];
+
 #[test]
-fn in_database_batches_match_scalar_bit_for_bit() {
+fn in_database_batches_match_the_reference_bit_for_bit() {
+    // Every lane is also answered alone through the single-query entry
+    // point (a one-lane panel) on a separately reused workspace.
     let (_, approx, exact) = build_indices();
     let mut batch_ws = BatchWorkspace::new();
-    let mut scalar_ws = SearchWorkspace::new();
+    let mut single_ws = SearchWorkspace::new();
     for (label, index) in [("incomplete", &approx), ("exact", &exact)] {
+        let reference = Reference::new(index);
         let n = index.num_nodes();
         for size in batch_sizes() {
             // Deterministic spread of queries, including duplicates.
             let queries: Vec<usize> = (0..size).map(|i| (i * 37 + size) % n).collect();
-            for mode in [
-                SearchMode::Pruned,
-                SearchMode::NoPruning,
-                SearchMode::FullSubstitution,
-            ] {
+            for mode in MODES {
                 for k in [1usize, 5, 10] {
                     let batched = index
                         .search_batch_in(&mut batch_ws, &queries, k, mode)
                         .unwrap();
                     assert_eq!(batched.len(), queries.len());
                     for (lane, &query) in queries.iter().enumerate() {
-                        let (scalar, scalar_stats) = index
-                            .search_with_stats_in(&mut scalar_ws, query, k, mode)
-                            .unwrap();
+                        let (want, want_stats) = reference.search(query, k, mode);
                         assert_eq!(
-                            batched[lane].0, scalar,
+                            batched[lane].0, want,
                             "{label}: size {size} lane {lane} query {query} k {k} mode {mode:?}"
                         );
                         assert_eq!(
-                            batched[lane].1, scalar_stats,
+                            batched[lane].1, want_stats,
                             "{label}: stats diverge for size {size} lane {lane} mode {mode:?}"
                         );
+                        let single = index
+                            .search_with_stats_in(&mut single_ws, query, k, mode)
+                            .unwrap();
+                        assert_eq!(single, batched[lane], "{label}: single query {query}");
                     }
                 }
             }
@@ -88,8 +99,9 @@ fn in_database_batches_match_scalar_bit_for_bit() {
 fn panels_with_pruned_out_columns_are_exercised_and_match() {
     // On a clustered dataset the pruned mode must actually prune for some
     // lanes (otherwise the masked shrinking-width path is never covered),
-    // and the pruning decisions must match the scalar search per lane.
+    // and the pruning decisions must match the reference per lane.
     let (_, approx, _) = build_indices();
+    let reference = Reference::new(&approx);
     let n = approx.num_nodes();
     let queries: Vec<usize> = (0..PANEL_WIDTH).map(|i| (i * 19) % n).collect();
     let batched = approx
@@ -110,36 +122,38 @@ fn panels_with_pruned_out_columns_are_exercised_and_match() {
     // Heterogeneous pruning across lanes (not all-or-nothing) is the
     // interesting masked case; assert per-lane agreement either way.
     for (lane, &query) in queries.iter().enumerate() {
-        let (scalar, stats) = approx
-            .search_with_stats(query, 3, SearchMode::Pruned)
-            .unwrap();
-        assert_eq!(batched[lane].0, scalar);
-        assert_eq!(batched[lane].1, stats);
+        assert_eq!(
+            batched[lane],
+            reference.search(query, 3, SearchMode::Pruned)
+        );
     }
 }
 
 #[test]
-fn all_scores_batches_match_scalar_bit_for_bit() {
+fn all_scores_match_the_reference_bit_for_bit() {
     let (_, approx, exact) = build_indices();
     let mut batch_ws = BatchWorkspace::new();
-    let mut scalar_ws = SearchWorkspace::new();
     for index in [&approx, &exact] {
+        let reference = Reference::new(index);
         let n = index.num_nodes();
-        let queries: Vec<usize> = (0..(PANEL_WIDTH + 3)).map(|i| (i * 29 + 1) % n).collect();
-        let batched = index.all_scores_batch_in(&mut batch_ws, &queries).unwrap();
-        for (lane, &query) in queries.iter().enumerate() {
-            let scalar = index.all_scores_in(&mut scalar_ws, query).unwrap();
-            assert_eq!(batched[lane], scalar, "lane {lane} query {query}");
+        for size in [1, PANEL_WIDTH + 3] {
+            let queries: Vec<usize> = (0..size).map(|i| (i * 29 + 1) % n).collect();
+            let batched = index.all_scores_batch_in(&mut batch_ws, &queries).unwrap();
+            for (lane, &query) in queries.iter().enumerate() {
+                let want = reference.all_scores(query);
+                assert_eq!(batched[lane], want, "size {size} lane {lane} query {query}");
+                assert_eq!(index.all_scores_in(&mut batch_ws, query).unwrap(), want);
+            }
         }
     }
 }
 
 #[test]
-fn weighted_batches_match_scalar_bit_for_bit() {
+fn weighted_batches_match_the_reference_bit_for_bit() {
     let (_, approx, exact) = build_indices();
     let mut batch_ws = BatchWorkspace::new();
-    let mut scalar_ws = SearchWorkspace::new();
     for index in [&approx, &exact] {
+        let reference = Reference::new(index);
         let n = index.num_nodes();
         // Multi-node weighted lanes touching one or several clusters.
         let lanes: Vec<Vec<(usize, f64)>> = (0..(PANEL_WIDTH + 2))
@@ -152,21 +166,59 @@ fn weighted_batches_match_scalar_bit_for_bit() {
             })
             .collect();
         let lane_refs: Vec<&[(usize, f64)]> = lanes.iter().map(|l| l.as_slice()).collect();
-        let batched = index
-            .search_weighted_batch_in(&mut batch_ws, &lane_refs, 6, SearchMode::Pruned)
-            .unwrap();
-        for (lane, weights) in lanes.iter().enumerate() {
-            let (scalar, stats) = index
-                .search_weighted_in(&mut scalar_ws, weights, 6, SearchMode::Pruned)
+        for mode in MODES {
+            let batched = index
+                .search_weighted_batch_in(&mut batch_ws, &lane_refs, 6, mode)
                 .unwrap();
-            assert_eq!(batched[lane].0, scalar, "lane {lane}");
-            assert_eq!(batched[lane].1, stats, "lane {lane}");
+            for (lane, weights) in lanes.iter().enumerate() {
+                let want = reference.search_weighted(weights, 6, mode);
+                assert_eq!(batched[lane], want, "lane {lane} mode {mode:?}");
+                let single = index
+                    .search_weighted_in(&mut batch_ws, weights, 6, mode)
+                    .unwrap();
+                assert_eq!(single, want, "single lane {lane} mode {mode:?}");
+            }
         }
     }
 }
 
 #[test]
-fn out_of_sample_batches_match_scalar() {
+fn ranking_system_solves_match_the_reference_bit_for_bit() {
+    let (_, approx, exact) = build_indices();
+    let mut ws = BatchWorkspace::new();
+    for index in [&approx, &exact] {
+        let reference = Reference::new(index);
+        let n = index.num_nodes();
+        let width = 3usize;
+        let rhs: Vec<f64> = (0..n * width)
+            .map(|i| {
+                if i % 7 == 0 {
+                    0.5 + (i % 5) as f64
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let mut panel = Vec::new();
+        index
+            .solve_ranking_system_batch_in(&mut ws, &rhs, width, &mut panel)
+            .unwrap();
+        let mut single = Vec::new();
+        for lane in 0..width {
+            let column: Vec<f64> = (0..n).map(|i| rhs[i * width + lane]).collect();
+            let want = reference.solve(&column);
+            index
+                .solve_ranking_system_in(&mut ws, &column, &mut single)
+                .unwrap();
+            assert_eq!(single, want, "lane {lane}");
+            let got: Vec<f64> = (0..n).map(|i| panel[i * width + lane]).collect();
+            assert_eq!(got, want, "panel lane {lane}");
+        }
+    }
+}
+
+#[test]
+fn out_of_sample_batches_match_single_queries() {
     let data = coil_like(&CoilLikeConfig {
         num_objects: 7,
         poses_per_object: 16,
@@ -201,7 +253,7 @@ fn out_of_sample_batches_match_scalar() {
 }
 
 #[test]
-fn snapshot_batches_match_scalar_on_clean_and_corrected_epochs() {
+fn snapshot_batches_match_single_queries_on_clean_and_corrected_epochs() {
     use mogul_core::update::{IndexBuilder, IndexDelta, RebuildPolicy, SnapshotWorkspace};
 
     // Two well-separated clusters, exact (MogulE) ranking so corrected

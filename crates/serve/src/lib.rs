@@ -30,7 +30,8 @@
 //!   **panel-blocked**: workers claim contiguous runs of compatible
 //!   requests (same kind, same `k`) and answer each run through the batched
 //!   multi-RHS substitution engine of `mogul-core` (see
-//!   `docs/PERFORMANCE.md`); singletons fall back to the scalar path.
+//!   `docs/PERFORMANCE.md`); singletons run through the same engine as
+//!   one-lane panels.
 //! * [`net`] — the **network front door**: a plain-`std` TCP server
 //!   ([`net::NetServer`]) speaking a length-prefixed, checksummed, versioned
 //!   frame codec, with a bounded admission queue that sheds excess load as
@@ -60,8 +61,8 @@
 //!   rebuild debt, and warm start from a manifested shard directory. See
 //!   `docs/SHARDING.md`.
 //! * [`ServeOptions`] — validated configuration through
-//!   [`ServeOptions::builder`]: worker count, batch [`Dispatch`] strategy,
-//!   admission-queue capacity and per-connection cap. Invalid configurations
+//!   [`ServeOptions::builder`]: worker count, admission-queue capacity and
+//!   per-connection cap. Invalid configurations
 //!   are rejected with [`ServeError::Config`], never silently clamped.
 //! * **Cold start** — [`QueryServer::warm_start`] and
 //!   [`IndexWriter::warm_start`] reconstruct a serving index from a
@@ -72,7 +73,7 @@
 //!
 //! Each worker owns a reusable
 //! [`SnapshotWorkspace`](mogul_core::update::SnapshotWorkspace), so after
-//! warm-up the substitution/pruning path performs zero heap allocations;
+//! warm-up the substitution/pruning path reuses its `O(n)` buffers;
 //! workspaces are recycled across batches through an internal
 //! checkout/checkin pool. Answers are **bit-identical** to the sequential
 //! [`RetrievalEngine`](mogul_core::RetrievalEngine) — concurrency changes
@@ -94,7 +95,7 @@ mod sharded;
 mod updater;
 
 pub use error::{ServeError, ServeResult};
-pub use options::{Dispatch, ServeOptions, ServeOptionsBuilder, MAX_QUEUE_CAPACITY, MAX_WORKERS};
+pub use options::{ServeOptions, ServeOptionsBuilder, MAX_QUEUE_CAPACITY, MAX_WORKERS};
 pub use request::{QueryRequest, QueryResponse, ResponseStatus, UpdateRequest};
 pub use server::QueryServer;
 pub use sharded::{DegradedPolicy, ShardFault, ShardFaultFn, ShardedServer, ShardedWriter};

@@ -20,7 +20,7 @@
 //! solve path.
 
 use crate::error::{ServeError, ServeResult};
-use crate::options::{Dispatch, ServeOptions};
+use crate::options::ServeOptions;
 use crate::request::{QueryRequest, QueryResponse};
 use mogul_core::update::{IndexSnapshot, SnapshotWorkspace};
 use mogul_core::{OutOfSampleIndex, OutOfSampleResult, PersistError, RetrievalEngine};
@@ -110,11 +110,10 @@ impl WorkspacePool {
 pub struct QueryServer {
     state: RwLock<Arc<IndexSnapshot>>,
     workers: usize,
-    dispatch: Dispatch,
     pool: WorkspacePool,
 }
 
-/// One unit of work a batch worker claims: `len == 1` is a scalar request,
+/// One unit of work a batch worker claims: `len == 1` is a single request,
 /// `len > 1` a contiguous panel of compatible requests (same kind, same `k`)
 /// answered through the batched multi-RHS engine.
 #[derive(Debug, Clone, Copy)]
@@ -192,7 +191,6 @@ impl QueryServer {
         QueryServer {
             state: RwLock::new(snapshot),
             workers,
-            dispatch: options.dispatch(),
             // One retained workspace per worker covers the steady state; a
             // spike of concurrent batches allocates extras and drops them.
             pool: WorkspacePool::with_capacity(workers),
@@ -285,10 +283,11 @@ impl QueryServer {
     /// The batch is first cut into **jobs**: contiguous runs of compatible
     /// requests (same kind, same `k`) become panels of up to
     /// [`mogul_core::PANEL_WIDTH`] requests answered through the batched
-    /// multi-RHS engine; singletons (and everything, under
-    /// [`Dispatch::Scalar`]) take the scalar path. A panel whose batched
-    /// call fails re-runs its requests individually, so error reporting
-    /// stays per-request. Answers are bit-identical to scalar dispatch.
+    /// multi-RHS engine; singletons are answered one at a time, like
+    /// [`QueryServer::query`]. A panel whose batched call fails re-runs its
+    /// requests individually, so error reporting stays per-request. Answers
+    /// are bit-identical to answering every request with
+    /// [`QueryServer::query`].
     ///
     /// The snapshot is read once per batch, so all answers of one batch come
     /// from one epoch even if a writer swaps mid-batch. Jobs are spread over
@@ -305,7 +304,7 @@ impl QueryServer {
             .iter()
             .map(|r| r.validate(&snapshot).err())
             .collect();
-        let jobs = Self::build_jobs(requests, &admission, self.dispatch);
+        let jobs = Self::build_jobs(requests, &admission);
         let workers = self.workers.min(jobs.len()).max(1);
         if workers == 1 {
             let mut ws = self.pool.checkout();
@@ -353,20 +352,11 @@ impl QueryServer {
         Self::stitch(per_worker.into_iter().flatten().collect(), requests.len())
     }
 
-    /// Cut a batch into panel/scalar jobs (see [`QueryServer::serve_batch`]).
-    /// Requests that failed admission are always singleton jobs — they are
-    /// answered from the admission table and must not drag a healthy panel
-    /// onto the scalar fallback path.
-    fn build_jobs(
-        requests: &[QueryRequest],
-        admission: &[Option<ServeError>],
-        dispatch: Dispatch,
-    ) -> Vec<Job> {
-        if dispatch == Dispatch::Scalar {
-            return (0..requests.len())
-                .map(|start| Job { start, len: 1 })
-                .collect();
-        }
+    /// Cut a batch into panel/singleton jobs (see
+    /// [`QueryServer::serve_batch`]). Requests that failed admission are
+    /// always singleton jobs — they are answered from the admission table and
+    /// must not drag a healthy panel onto the per-request fallback path.
+    fn build_jobs(requests: &[QueryRequest], admission: &[Option<ServeError>]) -> Vec<Job> {
         let compatible = |a: &QueryRequest, b: &QueryRequest| match (a, b) {
             (QueryRequest::InDatabase { k: ka, .. }, QueryRequest::InDatabase { k: kb, .. }) => {
                 ka == kb

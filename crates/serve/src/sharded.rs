@@ -428,7 +428,7 @@ impl ShardedServer {
     /// Homogeneous runs are not panel-blocked here — the sharded snapshot's
     /// own batch entry points already group by owning shard; this server
     /// groups **in-database requests by `k`** and feeds each group through
-    /// [`ShardedSnapshot::query_batch_by_id_in`], falling back to scalar
+    /// [`ShardedSnapshot::query_batch_by_id_in`], falling back to per-request
     /// answers if a group fails so error reporting stays per-request.
     pub fn serve_batch(&self, requests: &[QueryRequest]) -> Vec<ServeResult<QueryResponse>> {
         let snapshot = self.snapshot();
@@ -436,7 +436,7 @@ impl ShardedServer {
             (0..requests.len()).map(|_| None).collect();
 
         // Admission + grouping: valid in-database requests group by k for
-        // the batched path; everything else answers scalar below.
+        // the batched path; everything else is answered one by one below.
         let mut id_groups: Vec<(usize, Vec<usize>)> = Vec::new();
         for (i, request) in requests.iter().enumerate() {
             if let Err(err) = request.validate_sharded(&snapshot) {

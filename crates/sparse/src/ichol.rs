@@ -54,9 +54,20 @@ impl LdlFactors {
             .expect("shape mismatch in LDL reconstruction")
     }
 
-    /// Solve `L D Lᵀ x = b` using the stored factors.
+    /// Solve `L D Lᵀ x = b` using the stored factors (a one-column
+    /// [`ldl_solve_multi_into`](crate::triangular::ldl_solve_multi_into)).
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        crate::triangular::ldl_solve(&self.l, &self.u, &self.d, b)
+        let mut x = Vec::new();
+        crate::triangular::ldl_solve_multi_into(
+            &self.l,
+            &self.u,
+            &self.d,
+            b,
+            1,
+            &mut crate::MultiSolveWorkspace::new(),
+            &mut x,
+        )?;
+        Ok(x)
     }
 }
 

@@ -5,6 +5,13 @@
 //! (Equation (5)); both factors come from the `L D Lᵀ` factorization of `W`
 //! and are stored row-wise (CSR), which is exactly the access pattern the two
 //! substitutions need.
+//!
+//! Every solve here takes a **panel** of right-hand sides (`width ≥ 1`
+//! columns, see [`MultiSolveWorkspace`] for the layout); a single right-hand
+//! side is a panel of width 1. Each lane performs the textbook scalar
+//! recurrence — `x[i] = (b[i] − Σ_{j<i} L_ij x[j]) / L_ii`, accumulated in
+//! stored-column order — operation for operation, so a lane's result does
+//! not depend on the panel width or on the lane kernel.
 
 use crate::csr::CsrMatrix;
 use crate::error::{Result, SparseError};
@@ -15,215 +22,18 @@ use crate::kernel::{self, KernelKind, LaneKernel, ScalarKernel};
 /// Smallest pivot magnitude accepted before a solve is declared singular.
 const PIVOT_TOL: f64 = 1e-300;
 
-/// Reusable scratch for the composite [`ldl_solve_into`] operation.
-///
-/// Holding the intermediate vector of the two-phase solve in a caller-owned
-/// workspace lets hot query loops (for example the concurrent serving layer
-/// in `mogul-serve`) run the substitution path with zero heap allocations
-/// after the first call: the buffer is resized once and then reused.
-#[derive(Debug, Clone, Default)]
-pub struct SolveWorkspace {
-    /// Intermediate `y` of `L y = b` before the diagonal scaling.
-    intermediate: Vec<f64>,
-}
-
-impl SolveWorkspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        SolveWorkspace::default()
-    }
-
-    /// A workspace pre-sized for systems of dimension `n`.
-    pub fn with_capacity(n: usize) -> Self {
-        SolveWorkspace {
-            intermediate: Vec::with_capacity(n),
-        }
-    }
-}
+/// The width a one-lane panel (a single right-hand side) is swept at. The
+/// sweep bodies are `#[inline(always)]`, so passing this constant instead
+/// of a runtime width lets the compiler reduce them to the plain scalar
+/// recurrence — one lane has nothing to vectorize, and the per-row lane
+/// slicing of the general body would only cost time. Per lane, the
+/// arithmetic is the same either way.
+const ONE_LANE: usize = 1;
 
 /// Reset `out` to `n` zeros, reusing its existing capacity.
 fn reset(out: &mut Vec<f64>, n: usize) {
     out.clear();
     out.resize(n, 0.0);
-}
-
-fn check_square_and_rhs(m: &CsrMatrix, b: &[f64], op: &'static str) -> Result<()> {
-    if m.nrows() != m.ncols() {
-        return Err(SparseError::NotSquare {
-            nrows: m.nrows(),
-            ncols: m.ncols(),
-        });
-    }
-    if b.len() != m.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            op,
-            left: (m.nrows(), m.ncols()),
-            right: (b.len(), 1),
-        });
-    }
-    Ok(())
-}
-
-/// Solve `L x = b` where `L` is lower triangular with a non-zero stored
-/// diagonal. Entries above the diagonal are ignored.
-pub fn solve_lower_triangular(l: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>> {
-    let mut x = Vec::new();
-    solve_lower_triangular_into(l, b, &mut x)?;
-    Ok(x)
-}
-
-/// [`solve_lower_triangular`] writing into a caller-owned buffer (resized and
-/// zeroed in place, so repeated solves never reallocate).
-pub fn solve_lower_triangular_into(l: &CsrMatrix, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
-    check_square_and_rhs(l, b, "solve_lower_triangular")?;
-    let n = l.nrows();
-    reset(x, n);
-    for i in 0..n {
-        let (cols, vals) = l.row(i);
-        let mut sum = b[i];
-        let mut diag = 0.0;
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j < i {
-                sum -= v * x[j];
-            } else if j == i {
-                diag = v;
-            }
-        }
-        if diag.abs() < PIVOT_TOL {
-            return Err(SparseError::SingularMatrix { pivot: i });
-        }
-        x[i] = sum / diag;
-    }
-    Ok(())
-}
-
-/// Solve `L x = b` where `L` is *unit* lower triangular (implicit or explicit
-/// diagonal of ones). Entries above the diagonal are ignored.
-pub fn solve_unit_lower(l: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>> {
-    let mut x = Vec::new();
-    solve_unit_lower_into(l, b, &mut x)?;
-    Ok(x)
-}
-
-/// [`solve_unit_lower`] writing into a caller-owned buffer (resized and
-/// zeroed in place, so repeated solves never reallocate).
-pub fn solve_unit_lower_into(l: &CsrMatrix, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
-    check_square_and_rhs(l, b, "solve_unit_lower")?;
-    let n = l.nrows();
-    reset(x, n);
-    for i in 0..n {
-        let (cols, vals) = l.row(i);
-        let mut sum = b[i];
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j < i {
-                sum -= v * x[j];
-            }
-        }
-        x[i] = sum;
-    }
-    Ok(())
-}
-
-/// Solve `U x = b` where `U` is upper triangular with a non-zero stored
-/// diagonal. Entries below the diagonal are ignored.
-pub fn solve_upper_triangular(u: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>> {
-    let mut x = Vec::new();
-    solve_upper_triangular_into(u, b, &mut x)?;
-    Ok(x)
-}
-
-/// [`solve_upper_triangular`] writing into a caller-owned buffer (resized and
-/// zeroed in place, so repeated solves never reallocate).
-pub fn solve_upper_triangular_into(u: &CsrMatrix, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
-    check_square_and_rhs(u, b, "solve_upper_triangular")?;
-    let n = u.nrows();
-    reset(x, n);
-    for i in (0..n).rev() {
-        let (cols, vals) = u.row(i);
-        let mut sum = b[i];
-        let mut diag = 0.0;
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j > i {
-                sum -= v * x[j];
-            } else if j == i {
-                diag = v;
-            }
-        }
-        if diag.abs() < PIVOT_TOL {
-            return Err(SparseError::SingularMatrix { pivot: i });
-        }
-        x[i] = sum / diag;
-    }
-    Ok(())
-}
-
-/// Solve `U x = b` where `U` is *unit* upper triangular (implicit or explicit
-/// diagonal of ones). Entries below the diagonal are ignored.
-pub fn solve_unit_upper(u: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>> {
-    let mut x = Vec::new();
-    solve_unit_upper_into(u, b, &mut x)?;
-    Ok(x)
-}
-
-/// [`solve_unit_upper`] writing into a caller-owned buffer (resized and
-/// zeroed in place, so repeated solves never reallocate).
-pub fn solve_unit_upper_into(u: &CsrMatrix, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
-    check_square_and_rhs(u, b, "solve_unit_upper")?;
-    let n = u.nrows();
-    reset(x, n);
-    for i in (0..n).rev() {
-        let (cols, vals) = u.row(i);
-        let mut sum = b[i];
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            if j > i {
-                sum -= v * x[j];
-            }
-        }
-        x[i] = sum;
-    }
-    Ok(())
-}
-
-/// Solve `L D Lᵀ x = b` given the unit-lower factor `L` (rows, CSR), its
-/// transpose `U = Lᵀ` (rows, CSR) and the diagonal `D`.
-///
-/// This is the composite operation Mogul performs when it computes the
-/// approximate scores of *all* nodes (the "Incomplete Cholesky" baseline of
-/// Figure 5); the selective per-cluster variant lives in `mogul-core`.
-pub fn ldl_solve(l: &CsrMatrix, u: &CsrMatrix, d: &[f64], b: &[f64]) -> Result<Vec<f64>> {
-    let mut ws = SolveWorkspace::new();
-    let mut x = Vec::new();
-    ldl_solve_into(l, u, d, b, &mut ws, &mut x)?;
-    Ok(x)
-}
-
-/// [`ldl_solve`] with caller-owned scratch and output buffers: the
-/// intermediate of the forward phase lives in `ws` and the solution is
-/// written to `x`, so a warm loop of solves performs no heap allocation.
-pub fn ldl_solve_into(
-    l: &CsrMatrix,
-    u: &CsrMatrix,
-    d: &[f64],
-    b: &[f64],
-    ws: &mut SolveWorkspace,
-    x: &mut Vec<f64>,
-) -> Result<()> {
-    if d.len() != l.nrows() {
-        return Err(SparseError::DimensionMismatch {
-            op: "ldl_solve diagonal",
-            left: (l.nrows(), l.ncols()),
-            right: (d.len(), 1),
-        });
-    }
-    solve_unit_lower_into(l, b, &mut ws.intermediate)?;
-    for (i, yi) in ws.intermediate.iter_mut().enumerate() {
-        let di = d[i];
-        if di.abs() < PIVOT_TOL {
-            return Err(SparseError::SingularMatrix { pivot: i });
-        }
-        *yi /= di;
-    }
-    solve_unit_upper_into(u, &ws.intermediate, x)
 }
 
 // ---------------------------------------------------------------------------
@@ -237,9 +47,8 @@ pub const MAX_PANEL_WIDTH: usize = 16;
 
 /// Reusable scratch for the composite [`ldl_solve_multi_into`] operation.
 ///
-/// The panel counterpart of [`SolveWorkspace`]: it holds the intermediate
-/// `n × B` panel of the two-phase solve so a warm loop of batched solves
-/// performs no heap allocation. Panels are stored with the `B` lane values of
+/// It holds the intermediate `n × B` panel of the two-phase solve so a warm
+/// loop of solves performs no heap allocation. Panels are stored with the `B` lane values of
 /// each node adjacent (`panel[node * width + lane]`), i.e. a `B × n` matrix
 /// in column-major order: one traversal of the factor's CSR structure applies
 /// every nonzero to all `B` right-hand sides through a short contiguous
@@ -549,11 +358,11 @@ fn avx2_for(kind: KernelKind) -> Option<Avx2Kernel> {
 ///
 /// `b` and `x` are panels in the [`MultiSolveWorkspace`] layout
 /// (`panel[i * width + lane]`, length `n · width`). Each lane's arithmetic
-/// matches [`solve_lower_triangular_into`] operation for operation — under
-/// **either** kernel (see [`crate::kernel`]) — so lane `l` of the panel
-/// result is **bit-identical** to the scalar solve of lane `l`'s right-hand
-/// side; the panel only amortizes the traversal of `L`'s row pointers and
-/// indices across lanes. Dispatches on [`kernel::active_kernel`]; use
+/// is the scalar recurrence operation for operation — under **either**
+/// kernel (see [`crate::kernel`]) — so lane `l` of the panel result is
+/// **bit-identical** to a width-1 solve of lane `l`'s right-hand side; the
+/// panel only amortizes the traversal of `L`'s row pointers and indices
+/// across lanes. Dispatches on [`kernel::active_kernel`]; use
 /// [`solve_lower_multi_into_with`] to pin a kernel explicitly.
 pub fn solve_lower_multi_into(
     l: &CsrMatrix,
@@ -578,6 +387,10 @@ pub fn solve_lower_multi_into_with(
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     let _ = kind;
     run_lane_blocked(b, width, x, |bb, bw, xb| {
+        if bw == 1 {
+            // See `ONE_LANE`.
+            return lower_sweep(ScalarKernel, l, bb, ONE_LANE, xb);
+        }
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if let Some(k) = avx2_for(kind) {
             // SAFETY: `avx2_for` returned a kernel, so AVX2 is available.
@@ -589,7 +402,7 @@ pub fn solve_lower_multi_into_with(
 
 /// Solve `L X = B` for `width` right-hand sides where `L` is *unit* lower
 /// triangular. Panel layout and bit-identity guarantees as in
-/// [`solve_lower_multi_into`]; each lane matches [`solve_unit_lower_into`].
+/// [`solve_lower_multi_into`].
 pub fn solve_unit_lower_multi_into(
     l: &CsrMatrix,
     b: &[f64],
@@ -612,6 +425,10 @@ pub fn solve_unit_lower_multi_into_with(
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     let _ = kind;
     run_lane_blocked(b, width, x, |bb, bw, xb| {
+        if bw == 1 {
+            // See `ONE_LANE`.
+            return unit_lower_sweep(ScalarKernel, l, bb, ONE_LANE, xb);
+        }
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if let Some(k) = avx2_for(kind) {
             // SAFETY: `avx2_for` returned a kernel, so AVX2 is available.
@@ -623,8 +440,7 @@ pub fn solve_unit_lower_multi_into_with(
 
 /// Solve `U X = B` for `width` right-hand sides at once, where `U` is upper
 /// triangular with a non-zero stored diagonal. Panel layout and bit-identity
-/// guarantees as in [`solve_lower_multi_into`]; each lane matches
-/// [`solve_upper_triangular_into`].
+/// guarantees as in [`solve_lower_multi_into`].
 pub fn solve_upper_multi_into(
     u: &CsrMatrix,
     b: &[f64],
@@ -647,6 +463,10 @@ pub fn solve_upper_multi_into_with(
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     let _ = kind;
     run_lane_blocked(b, width, x, |bb, bw, xb| {
+        if bw == 1 {
+            // See `ONE_LANE`.
+            return upper_sweep(ScalarKernel, u, bb, ONE_LANE, xb);
+        }
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if let Some(k) = avx2_for(kind) {
             // SAFETY: `avx2_for` returned a kernel, so AVX2 is available.
@@ -658,7 +478,7 @@ pub fn solve_upper_multi_into_with(
 
 /// Solve `U X = B` for `width` right-hand sides where `U` is *unit* upper
 /// triangular. Panel layout and bit-identity guarantees as in
-/// [`solve_lower_multi_into`]; each lane matches [`solve_unit_upper_into`].
+/// [`solve_lower_multi_into`].
 pub fn solve_unit_upper_multi_into(
     u: &CsrMatrix,
     b: &[f64],
@@ -681,6 +501,10 @@ pub fn solve_unit_upper_multi_into_with(
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     let _ = kind;
     run_lane_blocked(b, width, x, |bb, bw, xb| {
+        if bw == 1 {
+            // See `ONE_LANE`.
+            return unit_upper_sweep(ScalarKernel, u, bb, ONE_LANE, xb);
+        }
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         if let Some(k) = avx2_for(kind) {
             // SAFETY: `avx2_for` returned a kernel, so AVX2 is available.
@@ -691,8 +515,7 @@ pub fn solve_unit_upper_multi_into_with(
 }
 
 /// Scale every row of an `n × width` panel by the inverse diagonal, in place:
-/// `panel[i, lane] /= d[i]` for every lane. Each lane's arithmetic matches
-/// the scalar diagonal phase of [`ldl_solve_into`] bit for bit, under either
+/// `panel[i, lane] /= d[i]` for every lane, bit-identically under either
 /// kernel.
 pub fn scale_diag_multi_into(d: &[f64], width: usize, panel: &mut [f64]) -> Result<()> {
     scale_diag_multi_into_with(kernel::active_kernel(), d, width, panel)
@@ -714,6 +537,10 @@ pub fn scale_diag_multi_into_with(
             right: panel_shape(panel.len(), width),
         });
     }
+    if width == 1 {
+        // See `ONE_LANE`.
+        return scale_diag_sweep(ScalarKernel, d, ONE_LANE, panel);
+    }
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if let Some(k) = avx2_for(kind) {
         // SAFETY: `avx2_for` returned a kernel, so AVX2 is available.
@@ -724,11 +551,16 @@ pub fn scale_diag_multi_into_with(
     scale_diag_sweep(ScalarKernel, d, width, panel)
 }
 
-/// Solve `L D Lᵀ X = B` for `width` right-hand sides at once — the panel
-/// counterpart of [`ldl_solve_into`]: one unit-lower sweep, one diagonal
-/// scaling and one unit-upper sweep, each traversing the factor structure
-/// once for the whole panel. Lane `l` of the result is bit-identical to
-/// [`ldl_solve_into`] on lane `l`'s right-hand side.
+/// Solve `L D Lᵀ X = B` for `width` right-hand sides at once, given the
+/// unit-lower factor `L` (rows, CSR), its transpose `U = Lᵀ` (rows, CSR) and
+/// the diagonal `D`: one unit-lower sweep, one diagonal scaling and one
+/// unit-upper sweep, each traversing the factor structure once for the whole
+/// panel. Lane `l` of the result is bit-identical to a width-1 solve of lane
+/// `l`'s right-hand side.
+///
+/// This is the composite operation Mogul performs when it computes the
+/// approximate scores of *all* nodes (the "Incomplete Cholesky" baseline of
+/// Figure 5); the selective per-cluster variant lives in `mogul-core`.
 pub fn ldl_solve_multi_into(
     l: &CsrMatrix,
     u: &CsrMatrix,
@@ -771,6 +603,44 @@ mod tests {
     use crate::dense::DenseMatrix;
     use crate::vector::max_abs_diff;
 
+    /// Test-local reference: the textbook single-RHS substitution (rows
+    /// ascending for `lower`, descending otherwise; the stored diagonal
+    /// divides unless `unit`), accumulated in stored-column order.
+    fn reference_solve(m: &CsrMatrix, b: &[f64], lower: bool, unit: bool) -> Vec<f64> {
+        let n = m.nrows();
+        let mut x = vec![0.0; n];
+        let rows: Vec<usize> = if lower {
+            (0..n).collect()
+        } else {
+            (0..n).rev().collect()
+        };
+        for i in rows {
+            let (cols, vals) = m.row(i);
+            let mut sum = b[i];
+            let mut diag = 0.0;
+            for (&j, &v) in cols.iter().zip(vals.iter()) {
+                if (lower && j < i) || (!lower && j > i) {
+                    sum -= v * x[j];
+                } else if j == i {
+                    diag = v;
+                }
+            }
+            x[i] = if unit { sum } else { sum / diag };
+        }
+        x
+    }
+
+    /// One-column solve through a panel entry point.
+    fn solve1(
+        solve: fn(&CsrMatrix, &[f64], usize, &mut Vec<f64>) -> Result<()>,
+        m: &CsrMatrix,
+        b: &[f64],
+    ) -> Result<Vec<f64>> {
+        let mut x = Vec::new();
+        solve(m, b, 1, &mut x)?;
+        Ok(x)
+    }
+
     fn lower_example() -> CsrMatrix {
         // [ 2 0 0 ]
         // [ 1 3 0 ]
@@ -793,7 +663,7 @@ mod tests {
     fn lower_solve_matches_dense() {
         let l = lower_example();
         let b = vec![2.0, 7.0, 14.0];
-        let x = solve_lower_triangular(&l, &b).unwrap();
+        let x = solve1(solve_lower_multi_into, &l, &b).unwrap();
         let lx = l.matvec(&x).unwrap();
         assert!(max_abs_diff(&lx, &b).unwrap() < 1e-12);
     }
@@ -802,7 +672,7 @@ mod tests {
     fn upper_solve_matches_dense() {
         let u = lower_example().transpose();
         let b = vec![5.0, 4.0, 8.0];
-        let x = solve_upper_triangular(&u, &b).unwrap();
+        let x = solve1(solve_upper_multi_into, &u, &b).unwrap();
         let ux = u.matvec(&x).unwrap();
         assert!(max_abs_diff(&ux, &b).unwrap() < 1e-12);
     }
@@ -812,11 +682,11 @@ mod tests {
         // Strictly lower part only; diagonal treated as 1.
         let l = CsrMatrix::from_triplets(3, 3, &[(1, 0, 0.5), (2, 1, 0.25)]).unwrap();
         let b = vec![1.0, 1.0, 1.0];
-        let x = solve_unit_lower(&l, &b).unwrap();
+        let x = solve1(solve_unit_lower_multi_into, &l, &b).unwrap();
         assert_eq!(x, vec![1.0, 0.5, 0.875]);
 
         let u = l.transpose();
-        let xu = solve_unit_upper(&u, &b).unwrap();
+        let xu = solve1(solve_unit_upper_multi_into, &u, &b).unwrap();
         assert_eq!(xu, vec![0.625, 0.75, 1.0]);
     }
 
@@ -824,12 +694,12 @@ mod tests {
     fn singular_diagonals_are_reported() {
         let l = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 0, 1.0)]).unwrap();
         assert!(matches!(
-            solve_lower_triangular(&l, &[1.0, 1.0]),
+            solve1(solve_lower_multi_into, &l, &[1.0, 1.0]),
             Err(SparseError::SingularMatrix { pivot: 1 })
         ));
         let u = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 1, 1.0)]).unwrap();
         assert!(matches!(
-            solve_upper_triangular(&u, &[1.0, 1.0]),
+            solve1(solve_upper_multi_into, &u, &[1.0, 1.0]),
             Err(SparseError::SingularMatrix { pivot: 0 })
         ));
     }
@@ -837,48 +707,61 @@ mod tests {
     #[test]
     fn shape_validation() {
         let l = lower_example();
-        assert!(solve_lower_triangular(&l, &[1.0]).is_err());
+        assert!(solve1(solve_lower_multi_into, &l, &[1.0]).is_err());
         let rect = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0)]).unwrap();
-        assert!(solve_unit_lower(&rect, &[1.0, 1.0]).is_err());
-        assert!(solve_unit_upper(&rect, &[1.0, 1.0]).is_err());
-        assert!(solve_upper_triangular(&rect, &[1.0, 1.0]).is_err());
+        assert!(solve1(solve_unit_lower_multi_into, &rect, &[1.0, 1.0]).is_err());
+        assert!(solve1(solve_unit_upper_multi_into, &rect, &[1.0, 1.0]).is_err());
+        assert!(solve1(solve_upper_multi_into, &rect, &[1.0, 1.0]).is_err());
     }
 
     #[test]
-    fn into_variants_are_bit_identical_and_reusable() {
+    fn reused_buffers_give_fresh_results() {
         let l = lower_example();
         let u = l.transpose();
         let unit_l = CsrMatrix::from_triplets(3, 3, &[(1, 0, 0.5), (2, 1, 0.25)]).unwrap();
         let unit_u = unit_l.transpose();
         let d = vec![2.0, 3.0, 4.0];
 
-        // One shared output buffer reused across every solve kind and several
-        // right-hand sides: results must equal the allocating API bit for bit.
+        // One shared output buffer and workspace reused across every solve
+        // kind and several right-hand sides: results must equal solves into
+        // fresh buffers bit for bit.
         let mut out = Vec::new();
-        let mut ws = SolveWorkspace::with_capacity(3);
+        let mut ws = MultiSolveWorkspace::with_capacity(3, 1);
         for b in [vec![2.0, 7.0, 14.0], vec![-1.0, 0.5, 3.25], vec![0.0; 3]] {
-            solve_lower_triangular_into(&l, &b, &mut out).unwrap();
-            assert_eq!(out, solve_lower_triangular(&l, &b).unwrap());
-            solve_upper_triangular_into(&u, &b, &mut out).unwrap();
-            assert_eq!(out, solve_upper_triangular(&u, &b).unwrap());
-            solve_unit_lower_into(&unit_l, &b, &mut out).unwrap();
-            assert_eq!(out, solve_unit_lower(&unit_l, &b).unwrap());
-            solve_unit_upper_into(&unit_u, &b, &mut out).unwrap();
-            assert_eq!(out, solve_unit_upper(&unit_u, &b).unwrap());
-            ldl_solve_into(&unit_l, &unit_u, &d, &b, &mut ws, &mut out).unwrap();
-            assert_eq!(out, ldl_solve(&unit_l, &unit_u, &d, &b).unwrap());
+            solve_lower_multi_into(&l, &b, 1, &mut out).unwrap();
+            assert_eq!(out, solve1(solve_lower_multi_into, &l, &b).unwrap());
+            solve_upper_multi_into(&u, &b, 1, &mut out).unwrap();
+            assert_eq!(out, solve1(solve_upper_multi_into, &u, &b).unwrap());
+            solve_unit_lower_multi_into(&unit_l, &b, 1, &mut out).unwrap();
+            assert_eq!(
+                out,
+                solve1(solve_unit_lower_multi_into, &unit_l, &b).unwrap()
+            );
+            solve_unit_upper_multi_into(&unit_u, &b, 1, &mut out).unwrap();
+            assert_eq!(
+                out,
+                solve1(solve_unit_upper_multi_into, &unit_u, &b).unwrap()
+            );
+            ldl_solve_multi_into(&unit_l, &unit_u, &d, &b, 1, &mut ws, &mut out).unwrap();
+            let mut fresh = Vec::new();
+            let mut fresh_ws = MultiSolveWorkspace::new();
+            ldl_solve_multi_into(&unit_l, &unit_u, &d, &b, 1, &mut fresh_ws, &mut fresh).unwrap();
+            assert_eq!(out, fresh);
         }
 
-        // Shape errors are reported through the `_into` path as well.
-        assert!(solve_lower_triangular_into(&l, &[1.0], &mut out).is_err());
-        assert!(ldl_solve_into(&unit_l, &unit_u, &[1.0], &[1.0; 3], &mut ws, &mut out).is_err());
+        // Shape errors are reported through a warm buffer as well.
+        assert!(solve_lower_multi_into(&l, &[1.0], 1, &mut out).is_err());
+        assert!(
+            ldl_solve_multi_into(&unit_l, &unit_u, &[1.0], &[1.0; 3], 1, &mut ws, &mut out)
+                .is_err()
+        );
     }
 
     #[test]
     fn multi_solves_are_bit_identical_to_scalar_lanes() {
-        // Every panel width (including ragged widths and widths past the
-        // tuned maximum) must reproduce the scalar solves lane for lane,
-        // bit for bit.
+        // Every panel width (1, ragged widths and widths past the tuned
+        // maximum) must reproduce the test-local scalar substitution lane
+        // for lane, bit for bit.
         let l = lower_example();
         let u = l.transpose();
         let unit_l = CsrMatrix::from_triplets(3, 3, &[(1, 0, 0.5), (2, 1, 0.25)]).unwrap();
@@ -904,44 +787,34 @@ mod tests {
 
             let mut out = Vec::new();
             let mut ws = MultiSolveWorkspace::with_capacity(n, width);
-            let mut scalar = Vec::new();
-            let mut scalar_ws = SolveWorkspace::new();
+            let assert_lanes = |out: &[f64], reference: &dyn Fn(&[f64]) -> Vec<f64>, what| {
+                for (lane, b) in lanes.iter().enumerate() {
+                    let scalar = reference(b);
+                    for i in 0..n {
+                        assert_eq!(
+                            out[i * width + lane],
+                            scalar[i],
+                            "{what} w={width} l={lane}"
+                        );
+                    }
+                }
+            };
 
             solve_lower_multi_into(&l, &panel, width, &mut out).unwrap();
-            for (lane, b) in lanes.iter().enumerate() {
-                solve_lower_triangular_into(&l, b, &mut scalar).unwrap();
-                for i in 0..n {
-                    assert_eq!(out[i * width + lane], scalar[i], "lower w={width} l={lane}");
-                }
-            }
+            assert_lanes(&out, &|b| reference_solve(&l, b, true, false), "lower");
             solve_upper_multi_into(&u, &panel, width, &mut out).unwrap();
-            for (lane, b) in lanes.iter().enumerate() {
-                solve_upper_triangular_into(&u, b, &mut scalar).unwrap();
-                for i in 0..n {
-                    assert_eq!(out[i * width + lane], scalar[i], "upper w={width} l={lane}");
-                }
-            }
+            assert_lanes(&out, &|b| reference_solve(&u, b, false, false), "upper");
             solve_unit_lower_multi_into(&unit_l, &panel, width, &mut out).unwrap();
-            for (lane, b) in lanes.iter().enumerate() {
-                solve_unit_lower_into(&unit_l, b, &mut scalar).unwrap();
-                for i in 0..n {
-                    assert_eq!(out[i * width + lane], scalar[i], "ul w={width} l={lane}");
-                }
-            }
+            assert_lanes(&out, &|b| reference_solve(&unit_l, b, true, true), "ul");
             solve_unit_upper_multi_into(&unit_u, &panel, width, &mut out).unwrap();
-            for (lane, b) in lanes.iter().enumerate() {
-                solve_unit_upper_into(&unit_u, b, &mut scalar).unwrap();
-                for i in 0..n {
-                    assert_eq!(out[i * width + lane], scalar[i], "uu w={width} l={lane}");
-                }
-            }
+            assert_lanes(&out, &|b| reference_solve(&unit_u, b, false, true), "uu");
             ldl_solve_multi_into(&unit_l, &unit_u, &d, &panel, width, &mut ws, &mut out).unwrap();
-            for (lane, b) in lanes.iter().enumerate() {
-                ldl_solve_into(&unit_l, &unit_u, &d, b, &mut scalar_ws, &mut scalar).unwrap();
-                for i in 0..n {
-                    assert_eq!(out[i * width + lane], scalar[i], "ldl w={width} l={lane}");
-                }
-            }
+            let ldl_reference = |b: &[f64]| {
+                let y = reference_solve(&unit_l, b, true, true);
+                let y: Vec<f64> = y.iter().zip(&d).map(|(y, d)| y / d).collect();
+                reference_solve(&unit_u, &y, false, true)
+            };
+            assert_lanes(&out, &ldl_reference, "ldl");
 
             // The in-place diagonal scaling matches the scalar phase too.
             let mut scaled = panel.clone();
@@ -1034,7 +907,8 @@ mod tests {
 
     #[test]
     fn ldl_solve_reconstructs_spd_solution() {
-        // Build an SPD matrix A = L D L^T and verify ldl_solve(A factors) inverts it.
+        // Build an SPD matrix A = L D L^T and verify the solve on its factors
+        // inverts it.
         let l = CsrMatrix::from_triplets(
             3,
             3,
@@ -1058,11 +932,13 @@ mod tests {
         let a = ld.matmul(&l.to_dense().transpose()).unwrap();
 
         let b = vec![1.0, -2.0, 3.0];
-        let x = ldl_solve(&l, &u, &d, &b).unwrap();
+        let mut ws = MultiSolveWorkspace::new();
+        let mut x = Vec::new();
+        ldl_solve_multi_into(&l, &u, &d, &b, 1, &mut ws, &mut x).unwrap();
         let ax = a.matvec(&x).unwrap();
         assert!(max_abs_diff(&ax, &b).unwrap() < 1e-12);
 
-        assert!(ldl_solve(&l, &u, &[1.0], &b).is_err());
-        assert!(ldl_solve(&l, &u, &[1.0, 0.0, 1.0], &b).is_err());
+        assert!(ldl_solve_multi_into(&l, &u, &[1.0], &b, 1, &mut ws, &mut x).is_err());
+        assert!(ldl_solve_multi_into(&l, &u, &[1.0, 0.0, 1.0], &b, 1, &mut ws, &mut x).is_err());
     }
 }

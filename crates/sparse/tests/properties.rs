@@ -1,9 +1,35 @@
 //! Property-based tests of the linear-algebra kernels.
 
-use mogul_sparse::triangular::{ldl_solve, solve_unit_lower, solve_unit_upper};
+use mogul_sparse::triangular::{
+    ldl_solve_multi_into, solve_unit_lower_multi_into, solve_unit_upper_multi_into,
+};
 use mogul_sparse::vector::max_abs_diff;
 use mogul_sparse::{complete_ldl, incomplete_ldl, CooMatrix, CsrMatrix, Permutation};
 use proptest::prelude::*;
+
+/// Test-local reference: the textbook single-RHS unit-triangular
+/// substitution (rows ascending for `lower`, descending otherwise; the unit
+/// diagonal is implicit), accumulated in stored-column order.
+fn reference_unit_solve(m: &CsrMatrix, b: &[f64], lower: bool) -> Vec<f64> {
+    let n = m.nrows();
+    let mut x = vec![0.0; n];
+    let rows: Vec<usize> = if lower {
+        (0..n).collect()
+    } else {
+        (0..n).rev().collect()
+    };
+    for i in rows {
+        let (cols, vals) = m.row(i);
+        let mut sum = b[i];
+        for (&j, &v) in cols.iter().zip(vals.iter()) {
+            if (lower && j < i) || (!lower && j > i) {
+                sum -= v * x[j];
+            }
+        }
+        x[i] = sum;
+    }
+    x
+}
 
 /// A random symmetric diagonally-dominant (hence SPD) matrix built from an
 /// edge list, mimicking the `I − α S` matrices Mogul factorizes.
@@ -86,18 +112,27 @@ proptest! {
             out.truncate(n);
             out
         };
-        let x_back = solve_unit_lower(&factors.l, &lx).unwrap();
+        let mut x_back = Vec::new();
+        solve_unit_lower_multi_into(&factors.l, &lx, 1, &mut x_back).unwrap();
         prop_assert!(max_abs_diff(&x_back, &x_true).unwrap() < 1e-9);
+        prop_assert_eq!(&x_back, &reference_unit_solve(&factors.l, &lx, true));
 
         let ux = factors.u.matvec(&x_true).unwrap();
-        let x_back = solve_unit_upper(&factors.u, &ux).unwrap();
+        solve_unit_upper_multi_into(&factors.u, &ux, 1, &mut x_back).unwrap();
         prop_assert!(max_abs_diff(&x_back, &x_true).unwrap() < 1e-9);
+        prop_assert_eq!(&x_back, &reference_unit_solve(&factors.u, &ux, false));
 
-        // Composite LDLᵀ solve agrees with the dense solution.
+        // Composite LDLᵀ solve agrees with the dense solution, and bit for
+        // bit with the reference substitutions.
         let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let x1 = ldl_solve(&factors.l, &factors.u, &factors.d, &b).unwrap();
+        let mut x1 = Vec::new();
+        let mut ws = mogul_sparse::MultiSolveWorkspace::new();
+        ldl_solve_multi_into(&factors.l, &factors.u, &factors.d, &b, 1, &mut ws, &mut x1).unwrap();
         let x2 = matrix.to_dense().solve(&b).unwrap();
         prop_assert!(max_abs_diff(&x1, &x2).unwrap() < 1e-8);
+        let y = reference_unit_solve(&factors.l, &b, true);
+        let y: Vec<f64> = y.iter().zip(&factors.d).map(|(y, d)| y / d).collect();
+        prop_assert_eq!(&x1, &reference_unit_solve(&factors.u, &y, false));
     }
 
     /// Symmetric permutation of a matrix commutes with permutation of vectors:
